@@ -225,9 +225,9 @@ func TestFabricFlapLeakFree(t *testing.T) {
 		for _, f := range flows {
 			f.SendBulk(512 << 10)
 		}
-		net.Sim.ScheduleFunc(sim.Millisecond, refill)
+		net.Sim.Schedule(sim.Millisecond, refill)
 	}
-	net.Sim.ScheduleFunc(0, refill)
+	net.Sim.Schedule(0, refill)
 
 	// Warm up through ~18 flap cycles: pool and event free lists reach their
 	// high-water marks, flows are in steady congestion avoidance.

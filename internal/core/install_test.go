@@ -134,10 +134,10 @@ func TestInstallPolicyConcurrentWithDatapath(t *testing.T) {
 		seq += 100
 		v.Ingress(ackPkt(peer, host.Addr, k.DPort, k.SPort, seq, 65535))
 		if n++; n < minPackets || !ctrlDone.Load() {
-			s.ScheduleFunc(100, tick)
+			s.Schedule(100, tick)
 		}
 	}
-	s.ScheduleFunc(0, tick)
+	s.Schedule(0, tick)
 
 	var wg sync.WaitGroup
 	wg.Add(1)

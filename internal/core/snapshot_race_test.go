@@ -38,10 +38,10 @@ func TestSnapshotConcurrentWithDatapath(t *testing.T) {
 		seqs[i] += 100
 		v.Ingress(ackPkt(peer, host.Addr, dp, sp, seqs[i], 65535))
 		if n++; n < minRounds || !ctrlDone.Load() {
-			s.ScheduleFunc(100, tick)
+			s.Schedule(100, tick)
 		}
 	}
-	s.ScheduleFunc(0, tick)
+	s.Schedule(0, tick)
 
 	var wg sync.WaitGroup
 	wg.Add(1)

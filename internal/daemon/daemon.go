@@ -209,9 +209,9 @@ func (d *Daemon) startWorkload() {
 		for _, f := range flows {
 			f.SendBulk(chunk)
 		}
-		d.net.Sim.ScheduleFunc(10*sim.Millisecond, refill)
+		d.net.Sim.Schedule(10*sim.Millisecond, refill)
 	}
-	d.net.Sim.ScheduleFunc(0, refill)
+	d.net.Sim.Schedule(0, refill)
 }
 
 // Start launches the sim loop. Stop shuts it down.

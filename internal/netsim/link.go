@@ -239,21 +239,24 @@ func (l *Link) txDone() {
 	} else {
 		// Clean wire: constant Delay means delivery order == completion
 		// order, so the flight ring plus one bound callback replaces the
-		// per-packet closures.
+		// per-packet closures, and the simulator's FIFO lane for Delay
+		// (shared by every link with that delay) replaces per-packet heap
+		// events.
 		l.flight.push(p)
-		l.Sim.ScheduleFunc(l.Delay, l.deliverF)
+		l.Sim.Lane(l.Delay).Push(l.deliverF)
 	}
 	l.startNext()
 }
 
-// deliverHead hands due in-flight packets to the destination. For a plain
-// Handler it pops exactly one packet per firing (the callback is scheduled
-// once per packet). For a BatchHandler destination it drains every packet
-// whose propagation completed by now into one burst — packets serialize at
-// distinct times on a finite-rate link, so bursts >1 only form when TxTime
-// rounds to zero or a fault path compresses timing; the later firings for
-// drained packets then find them already delivered and no-op. Either way
-// each packet is delivered exactly once, at exactly SentAt+Delay.
+// deliverHead hands due in-flight packets to the destination. It fires once
+// per packet, from the Delay lane entry txDone pushed. For a plain Handler it
+// pops exactly one packet per firing. For a BatchHandler destination it
+// drains every packet whose propagation completed by now into one burst —
+// packets serialize at distinct times on a finite-rate link, so bursts >1
+// only form when TxTime rounds to zero or a fault path compresses timing;
+// the later firings for drained packets then find them already delivered
+// and no-op. Either way each packet is delivered exactly once, at exactly
+// SentAt+Delay.
 func (l *Link) deliverHead() {
 	if l.dstBatch == nil {
 		l.Dst.HandlePacket(l.flight.pop())

@@ -26,9 +26,6 @@ type Switch struct {
 	Buffer *SharedBuffer
 	Stats  SwitchStats
 
-	// FwdDelay models the switch pipeline latency applied to every packet.
-	FwdDelay sim.Duration
-
 	// Pool recycles packets the switch terminates (route/TTL/queue drops);
 	// nil degrades to garbage collection.
 	Pool *packet.Pool
@@ -194,16 +191,7 @@ func (sw *Switch) HandlePacket(p *packet.Packet) {
 	}
 	p.Hops++
 	sw.Stats.Forwarded++
-	out := sw.ports[port]
-	if sw.FwdDelay > 0 {
-		sw.Sim.Schedule(sw.FwdDelay, func() {
-			if !out.Send(p) {
-				sw.Pool.Put(p)
-			}
-		})
-		return
-	}
-	if !out.Send(p) {
+	if !sw.ports[port].Send(p) {
 		// Queue-policy drop: the packet dies at this switch.
 		sw.Pool.Put(p)
 	}

@@ -1,11 +1,31 @@
 // Package sim provides the discrete-event simulation core used by every
-// substrate in this repository: a nanosecond virtual clock, a binary-heap
-// event scheduler with cancellable timers, and a deterministic RNG.
+// substrate in this repository: a nanosecond virtual clock, a split event
+// queue (a binary heap of one-shot events, a binary heap of restartable
+// timers, and constant-delay FIFO lanes), and a deterministic RNG.
 //
 // The simulator is single-threaded: all events run on the goroutine that
 // calls Run. Determinism is guaranteed by ordering events first by time and
-// then by insertion sequence, so two events scheduled for the same instant
+// then by sequence number, so two events scheduled for the same instant
 // fire in the order they were scheduled.
+//
+// # Three queues, one order
+//
+// Every pending firing lives in exactly one queue:
+//
+//   - At/Schedule events sit in the event heap;
+//   - armed Timers sit in the timer heap (Reset, Stop and expiry touch only
+//     it);
+//   - Lane.Push entries sit in the FIFO lane of their constant delay.
+//
+// All three draw sequence numbers from one counter at the moment they are
+// scheduled, and Run fires the smallest (when, seq) head among them. The
+// firing order is therefore exactly that of a single queue holding every
+// event. A lane needs no heap: its delay is constant and the clock and the
+// sequence counter only grow, so entries arrive already sorted and push and
+// pop are O(1). Splitting the queues keeps the per-packet heap small: link
+// deliveries (one per packet in flight) go to a lane, and per-connection
+// timers, which are armed on every segment but almost never fire, stay out
+// of the heap that serialization completions churn through.
 //
 // Two read paths are safe from other goroutines, which is what lets a
 // long-lived service (cmd/acdcd, internal/soak) observe and interrupt a
@@ -16,14 +36,15 @@
 //
 // # Event recycling
 //
-// Event structs are pooled on a per-Simulator free list: firing or cancelling
-// an event returns it to the pool, and the next Schedule/At reuses it. In the
-// steady state a sim workload therefore schedules with zero allocations. The
-// contract this imposes on callers: an *Event handle is valid only while the
-// event is pending. Once it has fired or been cancelled, the handle must be
-// dropped (nil it out, as Timer does) — calling Cancel or Reschedule through
-// a stale handle is a no-op at best and can target an unrelated reused event
-// at worst.
+// At/Schedule Event structs are pooled on a per-Simulator free list: firing
+// or cancelling an event returns it to the pool, and the next Schedule/At
+// reuses it. Timers embed their own heap entry and lane entries are values
+// in a ring, so neither touches the pool. In the steady state a sim workload
+// therefore schedules with zero allocations. The contract this imposes on
+// callers: an *Event handle is valid only while the event is pending. Once it
+// has fired or been cancelled, the handle must be dropped (nil it out) —
+// calling Cancel through a stale handle is a no-op at best and can target an
+// unrelated reused event at worst.
 package sim
 
 import (
@@ -64,8 +85,9 @@ func (t Time) String() string {
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // Event is a scheduled callback. It is returned by Schedule/At so callers can
-// cancel pending timers (e.g. retransmission timers that are reset on ACKs).
-// Handles are only valid while the event is pending; see the package comment.
+// cancel it before it fires (e.g. a link's serialization completion when the
+// link goes down). Handles are only valid while the event is pending; see the
+// package comment.
 type Event struct {
 	when     Time
 	seq      uint64
@@ -84,15 +106,17 @@ func (e *Event) When() Time { return e.when }
 // not pin memory for the lifetime of the simulator.
 const maxFreeEvents = 1 << 14
 
-// Simulator owns the virtual clock and the pending-event queue.
+// Simulator owns the virtual clock and the pending-event queues.
 type Simulator struct {
 	// now is the virtual clock. It is written only by the simulation
 	// goroutine but read (via Now) by observers on other goroutines — an
 	// admin API reporting status, a flow snapshot taken mid-run — so it is
 	// an atomic Time in nanoseconds.
 	now     atomic.Int64
-	pq      []*Event // monomorphic binary min-heap ordered by (when, seq)
-	free    []*Event // recycled events, reused by At/Schedule
+	events  eventHeap // At/Schedule events
+	timers  eventHeap // armed Timers' embedded events
+	lanes   []*Lane   // constant-delay FIFOs, one per distinct delay
+	free    []*Event  // recycled events, reused by At/Schedule
 	seq     uint64
 	rng     *rand.Rand
 	stopped atomic.Bool
@@ -132,14 +156,6 @@ func (s *Simulator) Schedule(d Duration, fn func()) *Event {
 	return s.At(s.Now()+d, fn)
 }
 
-// ScheduleFunc runs fn after delay d, fire-and-forget: no Event handle is
-// returned, so the event can never be cancelled. Use it for callbacks that
-// always run (transmission completions, workload ticks) — it makes the
-// no-handle intent explicit at the call site.
-func (s *Simulator) ScheduleFunc(d Duration, fn func()) {
-	s.Schedule(d, fn)
-}
-
 // At runs fn at absolute time t. Scheduling in the past fires at the current
 // time (events never run retroactively).
 func (s *Simulator) At(t Time, fn func()) *Event {
@@ -157,90 +173,63 @@ func (s *Simulator) At(t Time, fn func()) *Event {
 		s.allocated.Add(1)
 	}
 	ev.when, ev.seq, ev.fn, ev.canceled = t, s.seq, fn, false
-	s.push(ev)
+	s.events.push(ev)
 	return ev
 }
 
-// recycle returns a no-longer-pending event to the free list.
+// recycle returns a fired or cancelled At/Schedule event to the free list.
 func (s *Simulator) recycle(ev *Event) {
 	ev.fn = nil
-	ev.index = -1
 	if len(s.free) < maxFreeEvents {
 		s.free = append(s.free, ev)
 	}
 }
 
-// moveTo reschedules a still-pending event to fire at time t without the
-// remove/push round trip a cancel+schedule pair would pay: the event keeps
-// its heap slot identity, takes a fresh sequence number (so its order among
-// same-time events is exactly what a cancel+schedule would produce), and
-// sifts to its new position in one pass. The caller (Timer.Reset) guarantees
-// ev is pending. Times in the past clamp to now, like At.
-func (s *Simulator) moveTo(ev *Event, t Time) {
-	if now := s.Now(); t < now {
-		t = now
-	}
-	s.seq++
-	ev.when, ev.seq = t, s.seq
-	if !s.siftDown(ev.index) {
-		s.siftUp(ev.index)
-	}
-}
-
-// Cancel removes a pending event so it will not fire and recycles it. Safe to
-// call with nil or on events that already fired or were cancelled (no-op) —
-// but see the package comment: a stale handle may alias a reused event.
+// Cancel removes a pending At/Schedule event so it will not fire and
+// recycles it. Safe to call with nil or on events that already fired or were
+// cancelled (no-op) — but see the package comment: a stale handle may alias a
+// reused event. Timers are stopped with Timer.Stop, and lane entries cannot
+// be cancelled.
 func (s *Simulator) Cancel(ev *Event) {
 	if ev == nil || ev.index < 0 {
 		return
 	}
 	ev.canceled = true
-	s.remove(ev.index)
+	s.events.remove(ev.index)
 	s.recycle(ev)
-}
-
-// Reschedule cancels ev (if pending) and schedules its callback afresh at
-// now+d, returning the new event. A nil or already-fired event (whose
-// callback is gone) reschedules nothing and returns nil.
-func (s *Simulator) Reschedule(ev *Event, d Duration) *Event {
-	if ev == nil {
-		return nil
-	}
-	fn := ev.fn
-	s.Cancel(ev)
-	if fn == nil {
-		return nil
-	}
-	return s.Schedule(d, fn)
 }
 
 // Stop makes Run return after the currently executing event completes. Safe
 // to call from any goroutine (e.g. a daemon shutting its pacer loop down).
 func (s *Simulator) Stop() { s.stopped.Store(true) }
 
-// Pending returns the number of queued events.
-func (s *Simulator) Pending() int { return len(s.pq) }
+// Pending returns the number of queued firings across all three queues.
+func (s *Simulator) Pending() int {
+	n := len(s.events) + len(s.timers)
+	for _, l := range s.lanes {
+		n += l.n
+	}
+	return n
+}
 
-// Run executes events in time order until the queue drains, Stop is called,
+// Run executes events in time order until the queues drain, Stop is called,
 // or the next event would fire after `until` (pass a huge value to run to
 // completion). The clock is left at the time of the last executed event, or
-// at `until` if the queue was exhausted (or cut short by the horizon) so
+// at `until` if the queues were exhausted (or cut short by the horizon) so
 // callers measuring rates over [0, until] divide by the right span. A Stop
 // leaves the clock at the stopping event.
 func (s *Simulator) Run(until Time) {
 	s.stopped.Store(false)
-	for len(s.pq) > 0 && !s.stopped.Load() {
-		ev := s.pq[0]
-		if ev.when > until {
+	for !s.stopped.Load() {
+		q, lane, when := s.next()
+		if q == nil && lane == nil {
+			break
+		}
+		if when > until {
 			s.setNow(until)
 			return
 		}
-		s.popHead()
-		s.setNow(ev.when)
-		fn := ev.fn
-		s.Processed++
-		s.recycle(ev)
-		fn()
+		s.fire(q, lane)
 	}
 	if !s.stopped.Load() && s.Now() < until {
 		s.setNow(until)
@@ -250,107 +239,69 @@ func (s *Simulator) Run(until Time) {
 // RunFor is shorthand for Run(Now()+d).
 func (s *Simulator) RunFor(d Duration) { s.Run(s.Now() + d) }
 
-// RunAll drains the queue completely (or until Stop), leaving the clock at
+// RunAll drains the queues completely (or until Stop), leaving the clock at
 // the time of the last executed event. Unlike Run, it never advances the
 // clock past the final event.
 func (s *Simulator) RunAll() {
 	s.stopped.Store(false)
-	for len(s.pq) > 0 && !s.stopped.Load() {
-		ev := s.pq[0]
-		s.popHead()
+	for !s.stopped.Load() {
+		q, lane, _ := s.next()
+		if q == nil && lane == nil {
+			return
+		}
+		s.fire(q, lane)
+	}
+}
+
+// next picks the queue holding the earliest pending firing by (when, seq):
+// one of the two heaps, or a lane, and the time that firing is due. Both
+// queue results are nil when nothing is pending.
+func (s *Simulator) next() (q *eventHeap, lane *Lane, when Time) {
+	var seq uint64
+	if len(s.events) > 0 {
+		ev := s.events[0]
+		q, when, seq = &s.events, ev.when, ev.seq
+	}
+	if len(s.timers) > 0 {
+		if ev := s.timers[0]; q == nil || before(ev.when, ev.seq, when, seq) {
+			q, when, seq = &s.timers, ev.when, ev.seq
+		}
+	}
+	for _, l := range s.lanes {
+		if l.n == 0 {
+			continue
+		}
+		if e := &l.buf[l.head]; (q == nil && lane == nil) || before(e.when, e.seq, when, seq) {
+			q, lane, when, seq = nil, l, e.when, e.seq
+		}
+	}
+	return q, lane, when
+}
+
+// fire pops the head next selected, advances the clock to it and runs it.
+func (s *Simulator) fire(q *eventHeap, lane *Lane) {
+	var fn func()
+	if lane != nil {
+		var when Time
+		when, fn = lane.pop()
+		s.setNow(when)
+	} else {
+		ev := (*q)[0]
+		q.popHead()
 		s.setNow(ev.when)
-		fn := ev.fn
-		s.Processed++
-		s.recycle(ev)
-		fn()
-	}
-}
-
-// less orders the heap by (when, seq): time first, insertion order second.
-func eventLess(a, b *Event) bool {
-	if a.when != b.when {
-		return a.when < b.when
-	}
-	return a.seq < b.seq
-}
-
-// push inserts ev into the heap.
-func (s *Simulator) push(ev *Event) {
-	ev.index = len(s.pq)
-	s.pq = append(s.pq, ev)
-	s.siftUp(ev.index)
-}
-
-// popHead removes the heap minimum (the caller already read s.pq[0]).
-func (s *Simulator) popHead() {
-	n := len(s.pq) - 1
-	head := s.pq[0]
-	s.pq[0] = s.pq[n]
-	s.pq[0].index = 0
-	s.pq[n] = nil
-	s.pq = s.pq[:n]
-	head.index = -1
-	if n > 1 {
-		s.siftDown(0)
-	}
-}
-
-// remove deletes the event at heap index i.
-func (s *Simulator) remove(i int) {
-	n := len(s.pq) - 1
-	ev := s.pq[i]
-	if i != n {
-		s.pq[i] = s.pq[n]
-		s.pq[i].index = i
-	}
-	s.pq[n] = nil
-	s.pq = s.pq[:n]
-	ev.index = -1
-	if i < n {
-		if !s.siftDown(i) {
-			s.siftUp(i)
+		fn = ev.fn
+		if q == &s.events {
+			s.recycle(ev)
 		}
 	}
+	s.Processed++
+	fn()
 }
 
-// siftUp restores the heap property upward from index i.
-func (s *Simulator) siftUp(i int) {
-	ev := s.pq[i]
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(ev, s.pq[parent]) {
-			break
-		}
-		s.pq[i] = s.pq[parent]
-		s.pq[i].index = i
-		i = parent
+// before orders firings by (when, seq): time first, scheduling order second.
+func before(aWhen Time, aSeq uint64, bWhen Time, bSeq uint64) bool {
+	if aWhen != bWhen {
+		return aWhen < bWhen
 	}
-	s.pq[i] = ev
-	ev.index = i
-}
-
-// siftDown restores the heap property downward from index i; it reports
-// whether the element moved.
-func (s *Simulator) siftDown(i int) bool {
-	ev := s.pq[i]
-	start := i
-	n := len(s.pq)
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && eventLess(s.pq[r], s.pq[child]) {
-			child = r
-		}
-		if !eventLess(s.pq[child], ev) {
-			break
-		}
-		s.pq[i] = s.pq[child]
-		s.pq[i].index = i
-		i = child
-	}
-	s.pq[i] = ev
-	ev.index = i
-	return i > start
+	return aSeq < bSeq
 }

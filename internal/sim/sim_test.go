@@ -281,21 +281,6 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
-func TestReschedule(t *testing.T) {
-	s := New(1)
-	fired := 0
-	ev := s.Schedule(10, func() { fired++ })
-	s.Schedule(5, func() { s.Reschedule(ev, 100) })
-	s.Run(50)
-	if fired != 0 {
-		t.Fatal("rescheduled event fired at original time")
-	}
-	s.Run(200)
-	if fired != 1 {
-		t.Fatalf("fired=%d, want 1", fired)
-	}
-}
-
 func BenchmarkScheduleRun(b *testing.B) {
 	s := New(1)
 	b.ReportAllocs()
@@ -308,19 +293,41 @@ func BenchmarkScheduleRun(b *testing.B) {
 	s.RunAll()
 }
 
-// TestScheduleFireReuseZeroAlloc pins the event free list: once the pool is
-// warm, a schedule→fire→recycle round trip performs no heap allocations.
+// TestScheduleFireReuseZeroAlloc pins the allocation-free steady state of all
+// three queues: once warm, a schedule→fire→recycle round trip through the
+// event free list, a lane push→fire round trip, and a timer reset (later,
+// then earlier) → fire round trip perform no heap allocations.
 func TestScheduleFireReuseZeroAlloc(t *testing.T) {
 	s := New(1)
 	fn := func() {}
-	round := func() {
-		s.ScheduleFunc(Microsecond, fn)
-		s.ScheduleFunc(2*Microsecond, fn)
-		s.RunAll()
+	lane := s.Lane(5 * Microsecond)
+	tm := NewTimer(s, fn)
+	rounds := []struct {
+		name  string
+		round func()
+	}{
+		{"schedule/fire/reuse", func() {
+			s.Schedule(Microsecond, fn)
+			s.Schedule(2*Microsecond, fn)
+			s.RunAll()
+		}},
+		{"lane push/fire", func() {
+			lane.Push(fn)
+			lane.Push(fn)
+			s.RunAll()
+		}},
+		{"timer reset/fire", func() {
+			tm.Reset(3 * Microsecond)
+			tm.Reset(4 * Microsecond) // later: lazy, re-armed by a stale wakeup
+			tm.Reset(Microsecond)     // earlier: re-sifted in place
+			s.RunAll()
+		}},
 	}
-	round() // warm the free list
-	if n := testing.AllocsPerRun(500, round); n != 0 {
-		t.Errorf("schedule/fire/reuse: %v allocs/op, want 0", n)
+	for _, r := range rounds {
+		r.round() // warm the free list, lane ring and timer heap
+		if n := testing.AllocsPerRun(500, r.round); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", r.name, n)
+		}
 	}
 }
 
@@ -330,7 +337,7 @@ func TestScheduleFireReuseZeroAlloc(t *testing.T) {
 func TestEventRecycling(t *testing.T) {
 	s := New(1)
 	for i := 0; i < 1000; i++ {
-		s.ScheduleFunc(Duration(i)*Microsecond, func() {})
+		s.Schedule(Duration(i)*Microsecond, func() {})
 	}
 	s.RunAll()
 	if got := s.Allocated(); got > 1000 {
@@ -338,7 +345,7 @@ func TestEventRecycling(t *testing.T) {
 	}
 	before := s.Allocated()
 	for i := 0; i < 10000; i++ {
-		s.ScheduleFunc(Microsecond, func() {})
+		s.Schedule(Microsecond, func() {})
 		s.RunAll()
 	}
 	if got := s.Allocated(); got != before {

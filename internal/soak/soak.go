@@ -480,9 +480,9 @@ func injectUndeadFlow(v *core.VSwitch, s *sim.Simulator) {
 		}, 1000)
 		seq += 1000
 		v.Egress(p) // midstream adoption creates (and refreshes) the entry
-		s.ScheduleFunc(50*sim.Millisecond, keepalive)
+		s.Schedule(50*sim.Millisecond, keepalive)
 	}
-	s.ScheduleFunc(0, keepalive)
+	s.Schedule(0, keepalive)
 }
 
 // injectMidRun applies the wall-clock-timed defects from the controller
