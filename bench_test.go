@@ -477,8 +477,7 @@ func TestOverheadBenchFixture(t *testing.T) {
 	if ob.V.Table.Len() < 200 { // two directions per flow
 		t.Fatalf("fixture table has %d entries", ob.V.Table.Len())
 	}
-	out := ob.V.Ingress(ob.Acks[0].Clone())
-	if len(out) != 1 {
+	if out, extra := ob.V.IngressPath(ob.Acks[0].Clone()); out == nil || extra != nil {
 		t.Fatal("ACK consumed unexpectedly")
 	}
 	if ob.V.Stats().PacksConsumed == 0 {

@@ -31,7 +31,7 @@ import (
 
 	"acdc/internal/core"
 	"acdc/internal/daemon"
-	"acdc/internal/faults"
+	"acdc/internal/runopts"
 	"acdc/internal/sim"
 )
 
@@ -47,7 +47,7 @@ func main() {
 		auditSample = flag.Int("audit-sample", 64, "audit 1-in-N packet events (state transitions always checked; <0 disables)")
 		workload    = flag.Bool("workload", true, "drive continuous background bulk traffic")
 		fabricSpec  = flag.String("fabric", "", "fabric fault domains armed on the service links: kind[@time],key=val,...;... (`list` for syntax)")
-		backend     = flag.String("backend", "", "enforcement backend on every vSwitch (dctcp-cut, pace, adaptive-k; empty = dctcp-cut)")
+		backend     = runopts.Backend(flag.CommandLine, "enforcement backend on every vSwitch (%s; empty = dctcp-cut)")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -55,18 +55,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	var fabric []faults.FaultDomain
-	if *fabricSpec != "" {
-		if *fabricSpec == "help" || *fabricSpec == "list" {
-			fmt.Print(faults.DomainHelp())
-			return
-		}
-		ds, err := faults.ParseDomains(*fabricSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "acdcd: bad -fabric %q: %v\n", *fabricSpec, err)
-			os.Exit(2)
-		}
-		fabric = ds
+	fabric, listed, err := runopts.Fabric(os.Stdout, *fabricSpec)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "acdcd: %v\n", err)
+		os.Exit(2)
+	}
+	if listed {
+		return
 	}
 
 	if _, err := core.ParseBackend(*backend); err != nil {

@@ -36,72 +36,26 @@ import (
 	"strings"
 	"time"
 
-	"acdc/internal/audit"
-	"acdc/internal/core"
 	"acdc/internal/experiments"
-	"acdc/internal/faults"
+	"acdc/internal/runopts"
 )
 
 func main() {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	all := flag.Bool("all", false, "run every experiment")
 	long := flag.Bool("long", false, "run closer-to-paper durations (~10x)")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	parallel := flag.Int("parallel", 1, "experiment workers (0 = one per CPU, 1 = sequential)")
-	faultSpec := flag.String("faults", "", "fault profile: a built-in name or k=v list (`list` to enumerate)")
-	restartSpec := flag.String("restart", "", "vSwitch restart plan: mode[@time][,key=val...] (`list` to enumerate)")
-	fabricSpec := flag.String("fabric", "", "fabric fault domains: kind[@time],key=val,...;... (`list` for syntax)")
-	auditOn := flag.Bool("audit", false, "attach the datapath invariant auditor to every AC/DC vSwitch (violations logged to stderr)")
-	auditPanic := flag.Bool("audit-panic", false, "like -audit, but the first violation aborts the run")
-	backend := flag.String("backend", "", "enforcement backend on every AC/DC vSwitch (dctcp-cut, pace, adaptive-k; empty = dctcp-cut)")
+	opts := runopts.Register(flag.CommandLine)
 	flag.Parse()
 
-	if _, err := core.ParseBackend(*backend); err != nil {
-		fmt.Fprintf(os.Stderr, "acdcsim: bad -backend: %v\n", err)
+	cfg, listed, err := opts.Config(os.Stdout)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "acdcsim: %v\n", err)
 		os.Exit(2)
 	}
-
-	var prof *faults.Profile
-	if *faultSpec != "" {
-		if *faultSpec == "help" || *faultSpec == "list" {
-			fmt.Print(faults.ProfilesHelp())
-			return
-		}
-		p, err := faults.Parse(*faultSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "acdcsim: bad -faults %q: %v\n", *faultSpec, err)
-			os.Exit(2)
-		}
-		prof = &p
+	if listed {
+		return
 	}
-
-	var restart *faults.RestartPlan
-	if *restartSpec != "" {
-		if *restartSpec == "help" || *restartSpec == "list" {
-			fmt.Print(faults.RestartHelp())
-			return
-		}
-		p, err := faults.ParseRestart(*restartSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "acdcsim: bad -restart %q: %v\n", *restartSpec, err)
-			os.Exit(2)
-		}
-		restart = &p
-	}
-
-	var fabric []faults.FaultDomain
-	if *fabricSpec != "" {
-		if *fabricSpec == "help" || *fabricSpec == "list" {
-			fmt.Print(faults.DomainHelp())
-			return
-		}
-		ds, err := faults.ParseDomains(*fabricSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "acdcsim: bad -fabric %q: %v\n", *fabricSpec, err)
-			os.Exit(2)
-		}
-		fabric = ds
-	}
+	cfg.Long = *long
 
 	if *list {
 		for _, e := range experiments.Registry {
@@ -123,40 +77,25 @@ func main() {
 		os.Exit(2)
 	}
 
-	var auditCfg *audit.Config
-	if *auditOn || *auditPanic {
-		auditCfg = &audit.Config{Panic: *auditPanic}
-	}
-
-	cfg := experiments.RunConfig{Long: *long, Seed: *seed, Faults: prof, Restart: restart, Audit: auditCfg, Fabric: fabric, Backend: *backend}
-	if prof != nil && prof.Enabled() {
+	on := strings.Join(ids, " ")
+	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		// Announce chaos runs up front (and only then, so fault-free output
 		// is byte-identical to a build without the flag).
-		fmt.Printf("fault injection: %s (seed %d) on %s\n\n",
-			prof.String(), *seed, strings.Join(ids, " "))
+		fmt.Printf("fault injection: %s (seed %d) on %s\n\n", cfg.Faults.String(), cfg.Seed, on)
 	}
-	if restart != nil {
-		fmt.Printf("vSwitch restart: %s on %s\n\n", restart.String(), strings.Join(ids, " "))
+	if cfg.Restart != nil {
+		fmt.Printf("vSwitch restart: %s on %s\n\n", cfg.Restart.String(), on)
 	}
-	if *backend != "" {
+	if cfg.Backend != "" {
 		// Announced only when set, so default-backend output stays
 		// byte-identical to a build without the flag.
-		fmt.Printf("enforcement backend: %s on %s\n\n", *backend, strings.Join(ids, " "))
+		fmt.Printf("enforcement backend: %s on %s\n\n", cfg.Backend, on)
 	}
-	if len(fabric) > 0 {
-		plans := make([]string, len(fabric))
-		for i, d := range fabric {
-			plans[i] = d.String()
-		}
-		fmt.Printf("fabric fault domains: %s (seed %d) on %s\n\n",
-			strings.Join(plans, ";"), *seed, strings.Join(ids, " "))
+	if len(cfg.Fabric) > 0 {
+		fmt.Printf("fabric fault domains: %s (seed %d) on %s\n\n", runopts.FabricString(cfg.Fabric), cfg.Seed, on)
 	}
-	if auditCfg != nil {
-		mode := "log"
-		if auditCfg.Panic {
-			mode = "panic"
-		}
-		fmt.Printf("invariant audit: enabled (%s mode) on %s\n\n", mode, strings.Join(ids, " "))
+	if cfg.Audit != nil {
+		fmt.Printf("invariant audit: enabled (%s mode) on %s\n\n", runopts.AuditMode(cfg.Audit), on)
 	}
 	exit := 0
 	var jobs []experiments.Job
@@ -182,7 +121,7 @@ func main() {
 			return res
 		}
 	}
-	experiments.Sweep(jobs, *parallel, func(i int, res *experiments.Result) {
+	experiments.Sweep(jobs, opts.Parallel, func(i int, res *experiments.Result) {
 		fmt.Print(res.String())
 		fmt.Printf("(wall time %.1fs)\n\n", durs[i].Seconds())
 	})

@@ -37,6 +37,7 @@ import (
 
 	"acdc/internal/core"
 	"acdc/internal/faults"
+	"acdc/internal/runopts"
 	"acdc/internal/scenario"
 	"acdc/internal/soak"
 )
@@ -56,7 +57,7 @@ func main() {
 	fabricSpec := flag.String("fabric", "", "`list` shows the fault-domain syntax scenario specs use in their Fabric field")
 	soakMode := flag.Bool("soak", false, "run the service-mode soak (leak/drift gates) instead of the scenario catalog")
 	soakDuration := flag.Duration("soak-duration", 60*time.Second, "wall-clock soak length (with -soak)")
-	backend := flag.String("backend", "", "enforcement backend override for every scenario (dctcp-cut, pace, adaptive-k; empty = spec/default); pair non-default runs with -no-baseline")
+	backend := runopts.Backend(flag.CommandLine, "enforcement backend override for every scenario (%s; empty = spec/default); pair non-default runs with -no-baseline")
 	flag.Parse()
 
 	if _, err := core.ParseBackend(*backend); err != nil {
@@ -68,28 +69,24 @@ func main() {
 		return
 	}
 
-	// Shared plan-style flag convention: `list` enumerates. Scenario fault and
-	// restart plans live inside the spec, so here the flags are help-only.
-	if *faultSpec != "" {
-		if *faultSpec == "help" || *faultSpec == "list" {
-			fmt.Print(faults.ProfilesHelp())
+	// Shared plan-style flag convention: `list` enumerates. Scenario fault,
+	// restart and fabric plans live inside the spec, so here the flags are
+	// help-only.
+	for _, pl := range []struct {
+		spec, flag, what, field string
+		help                    func() string
+	}{
+		{*faultSpec, "faults", "fault", "Faults", faults.ProfilesHelp},
+		{*restartSpec, "restart", "restart", "Restart", faults.RestartHelp},
+		{*fabricSpec, "fabric", "fabric", "Fabric", faults.DomainHelp},
+	} {
+		if pl.spec == "" {
+			continue
+		}
+		if runopts.Listed(os.Stdout, pl.spec, pl.help) {
 			return
 		}
-		fail(2, "acdcsuite: fault plans belong in the scenario spec's Faults field (use -faults list for syntax)")
-	}
-	if *restartSpec != "" {
-		if *restartSpec == "help" || *restartSpec == "list" {
-			fmt.Print(faults.RestartHelp())
-			return
-		}
-		fail(2, "acdcsuite: restart plans belong in the scenario spec's Restart field (use -restart list for syntax)")
-	}
-	if *fabricSpec != "" {
-		if *fabricSpec == "help" || *fabricSpec == "list" {
-			fmt.Print(faults.DomainHelp())
-			return
-		}
-		fail(2, "acdcsuite: fabric plans belong in the scenario spec's Fabric field (use -fabric list for syntax)")
+		fail(2, "acdcsuite: %s plans belong in the scenario spec's %s field (use -%s list for syntax)", pl.what, pl.field, pl.flag)
 	}
 
 	names := flag.Args()

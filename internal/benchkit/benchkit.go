@@ -84,13 +84,13 @@ func newOverheadBench(nFlows, train int, mutate func(*core.Config)) *OverheadBen
 			SrcPort: sport, DstPort: 5001, Seq: 1000, Flags: packet.FlagSYN,
 			Window: 65535, Options: packet.BuildSynOptions(1460, 7, true),
 		}, 0)
-		v.Egress(syn)
+		v.EgressPath(syn)
 		synack := packet.Build(ra, la, packet.NotECT, packet.TCPFields{
 			SrcPort: 5001, DstPort: sport, Seq: 5000, Ack: 1001,
 			Flags: packet.FlagSYN | packet.FlagACK, Window: 65535,
 			Options: packet.BuildSynOptions(1460, 7, true),
 		}, 0)
-		v.Ingress(synack)
+		v.IngressPath(synack)
 
 		// Train templates are staggered by one payload each; every use bumps
 		// by train*payload, so the interleaved stream stays in order.

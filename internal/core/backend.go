@@ -9,7 +9,7 @@ package core
 // window is imposed on the guest. The two compose per flow: any law can run
 // under any backend.
 //
-// Three backends ship:
+// Two backends ship:
 //
 //   - "dctcp-cut" (default): the paper's mechanism, verbatim. ACKs toward
 //     the guest have their receive-window field overwritten with the virtual
@@ -22,12 +22,10 @@ package core
 //     virtual RTT) and egress data is released at that rate; the RWND field
 //     is never touched. This is the switch-assisted throttling family
 //     (Abdelmoniem & Bensaou, PAPERS.md) realized at the vSwitch.
-//   - "adaptive-k": the dynamic-ECN-threshold controller (SDN-controller
-//     style, PAPERS.md). Enforcement is the same RWND rewrite + policing as
-//     dctcp-cut, but the congestion *decision* adapts: a window only counts
-//     as congested once its CE-marked bytes cross a per-flow threshold K,
-//     and K tracks measured load (α) — heavy marking halves K toward maximum
-//     sensitivity, light marking grows it so stray marks stop costing cuts.
+//
+// Both share Figure 5's congestion decision (any CE-marked byte in the
+// feedback is a congestion signal, sendercc.go); a backend changes how the
+// window is imposed, not when it moves.
 //
 // Every Backend method runs under f.mu on the simulation goroutine, at the
 // exact points the hardcoded enforcement used to occupy; backends are
@@ -53,11 +51,6 @@ import (
 // are called with f.mu held, from the datapath (simulation) goroutine.
 type Backend interface {
 	Name() string
-	// Congested decides whether this ACK's feedback constitutes a
-	// congestion signal for the virtual CC (Figure 5's "ECN feedback?"
-	// branch). totalDelta/markedDelta are the bytes credited from this
-	// ACK's PACK/FACK feedback (both 0 without feedback).
-	Congested(v *VSwitch, f *Flow, totalDelta, markedDelta uint32) bool
 	// OnAck enforces the flow's computed window on an ACK headed to the
 	// guest. enforced is enforcedWindow (floor and clamp applied); fbStale
 	// reports the feedback-staleness freeze (sendercc.go) — a backend that
@@ -106,7 +99,7 @@ type Backend interface {
 	// max_alpha again — a self-sustaining starvation loop).
 	LossIsFabric(v *VSwitch, f *Flow) bool
 	// SaveState returns the backend's one per-flow scalar for snapshots
-	// (pace: pacing rate in bit/s; adaptive-k: current K in bytes).
+	// (pace: pacing rate in bit/s).
 	SaveState(f *Flow) float64
 	// RestoreState seeds the per-flow scalar from a restored snapshot.
 	RestoreState(v *VSwitch, f *Flow, state float64)
@@ -126,12 +119,6 @@ type backendState struct {
 	lastDropAt sim.Time // most recent pacer queue-bound drop (loss attribution)
 	throttled  bool     // bucket ran dry since the last ACK (growth gauge)
 
-	// adaptive-k: the dynamic congestion threshold.
-	kBytes      int64 // current K; marked bytes in a window below K are tolerated
-	kRoundSeq   int64 // f.alphaSeq at the last K adaptation (once per α round)
-	kCutSeq     int64 // f.cutSeq at the last accumulator reset
-	markedAccum int64 // CE-marked bytes since the last cut
-
 	restored    float64 // snapshot scalar, consumed at first use
 	hasRestored bool
 }
@@ -147,13 +134,12 @@ func (f *Flow) beState() *backendState {
 
 // The backend registry: stateless singletons, resolved by name.
 var (
-	backendDctcpCut  Backend = dctcpCutBackend{}
-	backendPace      Backend = paceBackend{}
-	backendAdaptiveK Backend = adaptiveKBackend{}
+	backendDctcpCut Backend = dctcpCutBackend{}
+	backendPace     Backend = paceBackend{}
 )
 
 // BackendNames lists the selectable enforcement backends (stable order).
-func BackendNames() []string { return []string{DefaultBackend, "pace", "adaptive-k"} }
+func BackendNames() []string { return []string{DefaultBackend, "pace"} }
 
 // DefaultBackend is the backend an empty name resolves to: the paper's own
 // enforcement mechanism.
@@ -163,7 +149,7 @@ const DefaultBackend = "dctcp-cut"
 // ("" means the default dctcp-cut mechanism and is always known).
 func backendKnown(name string) bool {
 	switch name {
-	case "", "dctcp-cut", "pace", "adaptive-k":
+	case "", "dctcp-cut", "pace":
 		return true
 	}
 	return false
@@ -177,8 +163,6 @@ func newBackend(name string) Backend {
 		return backendDctcpCut
 	case "pace":
 		return backendPace
-	case "adaptive-k":
-		return backendAdaptiveK
 	default:
 		panic(fmt.Sprintf("core: unknown enforcement backend %q", name))
 	}
@@ -217,12 +201,6 @@ func ParseBackend(name string) (string, error) {
 type dctcpCutBackend struct{}
 
 func (dctcpCutBackend) Name() string { return "dctcp-cut" }
-
-// Congested implements Backend: any CE-marked byte in the feedback marks the
-// window congested (Figure 5).
-func (dctcpCutBackend) Congested(v *VSwitch, f *Flow, totalDelta, markedDelta uint32) bool {
-	return markedDelta > 0
-}
 
 // OnAck implements Backend: overwrite the receive-window field with the
 // enforced window under the peer's scale, never widening (§3.3).
@@ -372,12 +350,6 @@ const (
 type paceBackend struct{}
 
 func (paceBackend) Name() string { return "pace" }
-
-// Congested implements Backend: same CE sensitivity as the paper's
-// mechanism — pace changes how the window is imposed, not when it moves.
-func (paceBackend) Congested(v *VSwitch, f *Flow, totalDelta, markedDelta uint32) bool {
-	return markedDelta > 0
-}
 
 // paceSink forwards pacer-released packets onto the wire. They already
 // traversed the egress path (feedback/ECT handled at queue time), so they
@@ -623,9 +595,9 @@ func (paceBackend) RoundAnchor(v *VSwitch, f *Flow, absAck int64) int64 {
 // The horizon is the time for the drop to surface as dupacks at this
 // vSwitch: a round trip (plus the backlog the pacer itself adds), padded
 // 4×. On an ECN fabric genuine overload surfaces as CE marks — which still
-// cut through Congested — so the rare mis-attributed real loss costs one
-// delayed reaction, while mis-attributing our own drops to the fabric locks
-// the flow at the window floor permanently.
+// cut through Figure 5's congestion branch — so the rare mis-attributed
+// real loss costs one delayed reaction, while mis-attributing our own drops
+// to the fabric locks the flow at the window floor permanently.
 func (paceBackend) LossIsFabric(v *VSwitch, f *Flow) bool {
 	bes := f.beState()
 	if bes.lastDropAt == 0 {
@@ -646,93 +618,6 @@ func (paceBackend) SaveState(f *Flow) float64 {
 // RestoreState implements Backend: seed the rate for the pacer's first use.
 func (paceBackend) RestoreState(v *VSwitch, f *Flow, state float64) {
 	if state > 0 {
-		bes := f.beState()
-		bes.restored = state
-		bes.hasRestored = true
-	}
-}
-
-// ---------------------------------------------------------------------------
-// adaptive-k: dynamic-ECN-threshold congestion decision.
-// ---------------------------------------------------------------------------
-
-const (
-	// akHighAlpha: above this measured load, K halves toward maximum
-	// sensitivity (every marked byte counts, like plain DCTCP).
-	akHighAlpha = 0.5
-	// akLowAlpha: below this, K grows additively so isolated marks stop
-	// costing a multiplicative cut.
-	akLowAlpha = 0.05
-	// akMaxKMSS caps K (in MSS units); beyond ~2 segments of marked bytes
-	// per window the fabric is congested no matter what K says.
-	akMaxKMSS = 2
-)
-
-// adaptiveKBackend enforces exactly like dctcp-cut (same rewrite, same
-// policing — it embeds the same mechanism) but moves the congestion decision
-// behind a load-adaptive threshold: a window only counts as congested once
-// its CE-marked bytes reach K, and K tracks α once per round.
-type adaptiveKBackend struct{ dctcpCutBackend }
-
-func (adaptiveKBackend) Name() string { return "adaptive-k" }
-
-// Congested implements Backend: accumulate marked bytes since the last cut
-// and compare against the adaptive threshold.
-func (adaptiveKBackend) Congested(v *VSwitch, f *Flow, totalDelta, markedDelta uint32) bool {
-	bes := f.beState()
-	if bes.kBytes == 0 {
-		bes.kBytes = int64(f.MSS)
-		if bes.hasRestored && bes.restored >= 1 {
-			if k := int64(bes.restored); k >= 1 && k <= int64(akMaxKMSS*f.MSS) {
-				bes.kBytes = k
-			}
-			bes.hasRestored = false
-		}
-		bes.kRoundSeq = f.alphaSeq
-		bes.kCutSeq = f.cutSeq
-	}
-	if f.alphaSeq != bes.kRoundSeq {
-		// Once per α round, adapt K to the measured load.
-		bes.kRoundSeq = f.alphaSeq
-		switch {
-		case f.Alpha > akHighAlpha:
-			if bes.kBytes > 1 {
-				bes.kBytes /= 2
-				if bes.kBytes < 1 {
-					bes.kBytes = 1
-				}
-				v.Metrics.AdaptiveKAdjusts.Inc()
-			}
-		case f.Alpha < akLowAlpha:
-			if max := int64(akMaxKMSS * f.MSS); bes.kBytes < max {
-				bes.kBytes += int64(f.MSS / 4)
-				if bes.kBytes > max {
-					bes.kBytes = max
-				}
-				v.Metrics.AdaptiveKAdjusts.Inc()
-			}
-		}
-	}
-	if bes.kCutSeq != f.cutSeq {
-		// A cut fired (cutSeq advanced): marked bytes start over.
-		bes.kCutSeq = f.cutSeq
-		bes.markedAccum = 0
-	}
-	bes.markedAccum += int64(markedDelta)
-	return markedDelta > 0 && bes.markedAccum >= bes.kBytes
-}
-
-// SaveState implements Backend: checkpoint the current threshold K.
-func (adaptiveKBackend) SaveState(f *Flow) float64 {
-	if f.bes != nil && f.bes.kBytes > 0 {
-		return float64(f.bes.kBytes)
-	}
-	return 0
-}
-
-// RestoreState implements Backend.
-func (adaptiveKBackend) RestoreState(v *VSwitch, f *Flow, state float64) {
-	if state >= 1 {
 		bes := f.beState()
 		bes.restored = state
 		bes.hasRestored = true

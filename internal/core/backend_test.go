@@ -12,7 +12,7 @@ import (
 // --- name resolution: parse surfaces say no, runtime surfaces fail open ---
 
 func TestParseBackend(t *testing.T) {
-	for _, ok := range []string{"", "dctcp-cut", "pace", "adaptive-k"} {
+	for _, ok := range []string{"", "dctcp-cut", "pace"} {
 		if got, err := ParseBackend(ok); err != nil || got != ok {
 			t.Errorf("ParseBackend(%q) = %q, %v; want it accepted verbatim", ok, got, err)
 		}
@@ -22,7 +22,7 @@ func TestParseBackend(t *testing.T) {
 		t.Errorf("ParseBackend(\"pase\") error %v, want a near-miss suggestion", err)
 	}
 	_, err = ParseBackend("warp-speed")
-	if err == nil || !strings.Contains(err.Error(), "dctcp-cut, pace, adaptive-k") {
+	if err == nil || !strings.Contains(err.Error(), "dctcp-cut, pace") {
 		t.Errorf("ParseBackend(\"warp-speed\") error %v, want the backend list", err)
 	}
 }
@@ -40,7 +40,7 @@ func TestUnknownBackendFailsOpen(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Backend = "warp-speed"
 		v, host, _ := loneVSwitch(t, cfg)
-		v.Egress(dataPkt(host.Addr, peer, 100, 200, 5000, 1000))
+		egress(v, dataPkt(host.Addr, peer, 100, 200, 5000, 1000))
 		f := v.Table.Get(key(host))
 		if f == nil || f.be.Name() != DefaultBackend {
 			t.Fatalf("flow backend %v, want fail-open to %s", f, DefaultBackend)
@@ -54,7 +54,7 @@ func TestUnknownBackendFailsOpen(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.FlowPolicy = func(FlowKey) Policy { return Policy{Beta: 1, Backend: "warp-speed"} }
 		v, host, _ := loneVSwitch(t, cfg)
-		v.Egress(dataPkt(host.Addr, peer, 100, 200, 5000, 1000))
+		egress(v, dataPkt(host.Addr, peer, 100, 200, 5000, 1000))
 		f := v.Table.Get(key(host))
 		if f == nil || f.be.Name() != DefaultBackend {
 			t.Fatalf("flow backend %v, want fail-open to %s", f, DefaultBackend)
@@ -80,6 +80,33 @@ func TestUnknownBackendFailsOpen(t *testing.T) {
 			t.Fatal("backend_unknown_total = 0, want the clamp counted")
 		}
 	})
+
+	t.Run("snapshot restore", func(t *testing.T) {
+		// A warm-restart snapshot written by an older build still names
+		// "adaptive-k", a backend this build no longer has.
+		a, ahost, _ := loneVSwitch(t, DefaultConfig())
+		egress(a, dataPkt(ahost.Addr, peer, 100, 200, 5000, 1000))
+		_, recs, err := decodeSnapshot(a.SaveSnapshot())
+		if err != nil || len(recs) != 1 {
+			t.Fatalf("decode: %d records, %v", len(recs), err)
+		}
+		recs[0].PolBackend = "adaptive-k"
+		recs[0].BeState = 4480 // the old backend's threshold K, in bytes
+		b, _, _ := loneVSwitch(t, DefaultConfig())
+		if err := b.RestoreSnapshot(encodeSnapshot(0, recs)); err != nil {
+			t.Fatalf("restore must not reject an unknown backend: %v", err)
+		}
+		f := b.Table.Get(key(ahost))
+		if f == nil || f.be.Name() != DefaultBackend {
+			t.Fatalf("restored flow backend %v, want fail-open to %s", f, DefaultBackend)
+		}
+		if f.Policy.Backend != "" || f.bes != nil {
+			t.Fatalf("restored Policy.Backend %q, backend state %v; want default, no state", f.Policy.Backend, f.bes)
+		}
+		if n := b.Stats().BackendUnknown; n != 1 {
+			t.Fatalf("backend_unknown_total = %d, want 1 (one clamped record)", n)
+		}
+	})
 }
 
 // TestPolicyBackendOverridesConfig: Policy.Backend selects the flow's
@@ -89,7 +116,7 @@ func TestPolicyBackendOverridesConfig(t *testing.T) {
 	cfg.FlowPolicy = func(FlowKey) Policy { return Policy{Beta: 1, Backend: "pace"} }
 	v, host, _ := loneVSwitch(t, cfg)
 	peer := packet.MakeAddr(10, 0, 0, 2)
-	v.Egress(dataPkt(host.Addr, peer, 100, 200, 5000, 1000))
+	egress(v, dataPkt(host.Addr, peer, 100, 200, 5000, 1000))
 	f := v.Table.Get(FlowKey{Src: host.Addr, Dst: peer, SPort: 100, DPort: 200})
 	if f == nil || f.be.Name() != "pace" {
 		t.Fatalf("flow backend %v, want pace from Policy.Backend", f)
@@ -171,7 +198,7 @@ func TestPaceFbStaleFreezesRate(t *testing.T) {
 }
 
 // TestPolicyDisableHonoredByEveryBackend: a Disable flow is observation-only
-// under all three mechanisms — no RWND rewrites, no policing drops, no pacer
+// under both mechanisms — no RWND rewrites, no policing drops, no pacer
 // interception — while traffic still flows.
 func TestPolicyDisableHonoredByEveryBackend(t *testing.T) {
 	for _, name := range BackendNames() {
@@ -207,7 +234,7 @@ func TestPolicyDisableHonoredByEveryBackend(t *testing.T) {
 
 // --- per-backend mechanism units ---
 
-// TestDctcpCutWindowLimitedOvershootGate: the rewrite backends gate growth on
+// TestDctcpCutWindowLimitedOvershootGate: the rewrite backend gates growth on
 // peak inflight pressing against — but not overshooting — the virtual window.
 func TestDctcpCutWindowLimitedOvershootGate(t *testing.T) {
 	v, host, _ := loneVSwitch(t, DefaultConfig())
@@ -304,41 +331,5 @@ func TestPaceLossAttributionHorizon(t *testing.T) {
 	bes.lastDropAt = s.Now() - sim.Time(20*sim.Millisecond)
 	if !f.be.LossIsFabric(v, f) {
 		t.Error("loss far outside the drop horizon must be attributed to the fabric")
-	}
-}
-
-// TestAdaptiveKThreshold: marked bytes below K are tolerated, K halves under
-// sustained load and grows back when the fabric is quiet.
-func TestAdaptiveKThreshold(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Backend = "adaptive-k"
-	v, host, _ := loneVSwitch(t, cfg)
-	f := syntheticFlow(v, host)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	be := f.be
-	mss := int64(f.MSS)
-
-	if be.Congested(v, f, 10_000, uint32(mss/4)) {
-		t.Error("marked bytes below K must not count as congestion")
-	}
-	if !be.Congested(v, f, 10_000, uint32(mss)) {
-		t.Error("accumulated marked bytes at K must count as congestion")
-	}
-	k0 := f.bes.kBytes
-	// High measured load across an α-round boundary halves K...
-	f.Alpha = 0.9
-	f.alphaSeq++
-	be.Congested(v, f, 1000, 0)
-	if f.bes.kBytes >= k0 {
-		t.Errorf("K did not shrink under α=0.9: %d → %d", k0, f.bes.kBytes)
-	}
-	// ...and a quiet fabric grows it back.
-	low := f.bes.kBytes
-	f.Alpha = 0.01
-	f.alphaSeq++
-	be.Congested(v, f, 1000, 0)
-	if f.bes.kBytes <= low {
-		t.Errorf("K did not recover under α=0.01: %d → %d", low, f.bes.kBytes)
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
-import "acdc/internal/packet"
+import (
+	"acdc/internal/metrics"
+	"acdc/internal/packet"
+)
 
 // Batch datapath: the OVS datapath the paper modifies processes packets in
 // bursts so per-packet overheads (flow lookup, locking, stat updates)
@@ -34,7 +37,7 @@ type batchScratch struct {
 	flows []*Flow   // parallel to keys
 	lk    lookupScratch
 	// bytes is the burst's byte count (every class but bad-IP), summed during
-	// classification so Egress/IngressBytes is one Add per burst.
+	// classification so the direction's byte counter is one Add per burst.
 	bytes  int64
 	deltas batchDeltas
 	// sink absorbs the lookahead touch loads so the compiler cannot
@@ -115,56 +118,31 @@ func (v *VSwitch) classifyBatch(ps []*packet.Packet) {
 
 // EgressBatch runs the egress datapath over a burst, appending one
 // (out, extra) pair per input packet to pairs and returning it. Equivalent
-// to calling EgressPath on each packet in order.
-func (v *VSwitch) EgressBatch(ps []*packet.Packet, pairs []*packet.Packet) []*packet.Packet {
-	if len(ps) <= 1 || v.inBatch {
-		for _, p := range ps {
-			out, extra := v.EgressPath(p)
-			pairs = append(pairs, out, extra)
-		}
-		return pairs
-	}
-	v.inBatch = true
-	defer func() { v.inBatch = false }()
-
-	n := len(ps)
-	v.Metrics.EgressSegs.Add(int64(n))
-	v.consumeSweepArm()
-	v.classifyBatch(ps)
-	sc := &v.batch
-	v.Metrics.EgressBytes.Add(sc.bytes)
-	bd := &sc.deltas
-	*bd = batchDeltas{}
-	gen := v.Table.genNow()
-	v.Table.GetBatch(sc.keys, sc.flows, &sc.lk)
-	audit := v.Audit != nil
-	for i, p := range ps {
-		var pre PacketPre
-		if audit {
-			pre = v.CapturePre(p)
-		}
-		sc.touchFlows(i + batchLookahead)
-		v.tickSweep()
-		out, extra := v.egressRun(p, &sc.meta[i], sc.flows[2*i], sc.flows[2*i+1], gen, bd)
-		if audit {
-			v.Audit.PacketEvent(v, AuditEgress, pre, out, extra, out == p)
-		}
-		pairs = append(pairs, out, extra)
-	}
-	if bd.ectMarks != 0 {
-		v.Metrics.ECTMarks.Add(bd.ectMarks)
-	}
-	if bd.packs != 0 {
-		v.Metrics.PacksConsumed.Add(bd.packs)
-	}
-	return pairs
+// to calling EgressPath on each packet in order; Attach installs it as the
+// host's batch egress hook.
+func (v *VSwitch) EgressBatch(ps, pairs []*packet.Packet) []*packet.Packet {
+	return v.processBatch(ps, pairs, v.Metrics.EgressSegs, v.Metrics.EgressBytes, (*VSwitch).egressRun, AuditEgress)
 }
 
 // IngressBatch is the ingress counterpart of EgressBatch.
-func (v *VSwitch) IngressBatch(ps []*packet.Packet, pairs []*packet.Packet) []*packet.Packet {
+func (v *VSwitch) IngressBatch(ps, pairs []*packet.Packet) []*packet.Packet {
+	return v.processBatch(ps, pairs, v.Metrics.IngressSegs, v.Metrics.IngressBytes, (*VSwitch).ingressRun, AuditIngress)
+}
+
+// processBatch is the batch datapath shared by both directions, taking the
+// same direction arguments as process. Detached, every packet passes
+// through untouched; a single packet or a re-entrant call runs the
+// per-packet body.
+func (v *VSwitch) processBatch(ps, pairs []*packet.Packet, segs, bytes *metrics.Counter, run runFunc, dir AuditDir) []*packet.Packet {
+	if !v.attached.Load() {
+		for _, p := range ps {
+			pairs = append(pairs, p, nil)
+		}
+		return pairs
+	}
 	if len(ps) <= 1 || v.inBatch {
 		for _, p := range ps {
-			out, extra := v.IngressPath(p)
+			out, extra := v.process(p, segs, bytes, run, dir)
 			pairs = append(pairs, out, extra)
 		}
 		return pairs
@@ -172,27 +150,26 @@ func (v *VSwitch) IngressBatch(ps []*packet.Packet, pairs []*packet.Packet) []*p
 	v.inBatch = true
 	defer func() { v.inBatch = false }()
 
-	n := len(ps)
-	v.Metrics.IngressSegs.Add(int64(n))
+	segs.Add(int64(len(ps)))
 	v.consumeSweepArm()
 	v.classifyBatch(ps)
 	sc := &v.batch
-	v.Metrics.IngressBytes.Add(sc.bytes)
+	bytes.Add(sc.bytes)
 	bd := &sc.deltas
 	*bd = batchDeltas{}
 	gen := v.Table.genNow()
 	v.Table.GetBatch(sc.keys, sc.flows, &sc.lk)
-	audit := v.Audit != nil
+	a := v.Audit
 	for i, p := range ps {
 		var pre PacketPre
-		if audit {
+		if a != nil {
 			pre = v.CapturePre(p)
 		}
 		sc.touchFlows(i + batchLookahead)
 		v.tickSweep()
-		out, extra := v.ingressRun(p, &sc.meta[i], sc.flows[2*i], sc.flows[2*i+1], gen, bd)
-		if audit {
-			v.Audit.PacketEvent(v, AuditIngress, pre, out, extra, out == p)
+		out, extra := run(v, p, sc.meta[i], sc.flows[2*i], sc.flows[2*i+1], gen, bd)
+		if a != nil {
+			a.PacketEvent(v, dir, pre, out, extra, out == p)
 		}
 		pairs = append(pairs, out, extra)
 	}
@@ -203,27 +180,4 @@ func (v *VSwitch) IngressBatch(ps []*packet.Packet, pairs []*packet.Packet) []*p
 		v.Metrics.PacksConsumed.Add(bd.packs)
 	}
 	return pairs
-}
-
-// egressBatchHook and ingressBatchHook are the stable batch hooks Attach
-// installs on the host, gated on the same attached flag as the per-packet
-// hooks. Detached, they pass every packet through untouched.
-func (v *VSwitch) egressBatchHook(ps, pairs []*packet.Packet) []*packet.Packet {
-	if !v.attached.Load() {
-		for _, p := range ps {
-			pairs = append(pairs, p, nil)
-		}
-		return pairs
-	}
-	return v.EgressBatch(ps, pairs)
-}
-
-func (v *VSwitch) ingressBatchHook(ps, pairs []*packet.Packet) []*packet.Packet {
-	if !v.attached.Load() {
-		for _, p := range ps {
-			pairs = append(pairs, p, nil)
-		}
-		return pairs
-	}
-	return v.IngressBatch(ps, pairs)
 }

@@ -13,8 +13,8 @@ import (
 type Config struct {
 	// VCC names the default virtual congestion control ("dctcp" or "reno").
 	VCC string
-	// Backend names the default enforcement backend ("dctcp-cut", "pace",
-	// or "adaptive-k"; "" = dctcp-cut, the paper's RWND-rewrite mechanism).
+	// Backend names the default enforcement backend ("dctcp-cut" or "pace";
+	// "" = dctcp-cut, the paper's RWND-rewrite mechanism).
 	// Per-flow Policy.Backend overrides it. Unknown names fail open to the
 	// default and are counted in backend_unknown_total (backend.go).
 	Backend string
@@ -142,17 +142,17 @@ type VSwitch struct {
 	evictCursor  int
 	evictRetryAt sim.Time
 
-	// batch is the reusable scratch for EgressBatch/IngressBatch (batch.go);
+	// batch is the reusable scratch for processBatch (batch.go);
 	// inBatch guards it against re-entrant batch calls, which fall back to
 	// the per-packet path. Both are touched only on the datapath goroutine.
 	batch   batchScratch
 	inBatch bool
 
-	// attached gates the datapath hooks. Attach installs stable wrapper
-	// funcs on the host exactly once and never swaps them again; Detach and
-	// Reattach flip this flag instead, so a control-plane goroutine can
-	// detach the module while packets are mid-hook without racing the
-	// per-packet hook reads.
+	// attached gates the datapath entries (process, processBatch). Attach
+	// installs them on the host exactly once and never swaps them again;
+	// Detach and Reattach flip this flag instead, so a control-plane
+	// goroutine can detach the module while packets are mid-hook without
+	// racing the per-packet hook reads.
 	attached atomic.Bool
 
 	// overrides is the live per-flow policy table installed through
@@ -207,29 +207,11 @@ func Attach(s *sim.Simulator, host *netsim.Host, cfg Config) *VSwitch {
 		v.sweepTimer = sim.NewTimer(s, v.onSweepTick)
 	}
 	v.attached.Store(true)
-	host.Egress = v.egressHook
-	host.Ingress = v.ingressHook
-	host.EgressBatch = v.egressBatchHook
-	host.IngressBatch = v.ingressBatchHook
+	host.Egress = v.EgressPath
+	host.Ingress = v.IngressPath
+	host.EgressBatch = v.EgressBatch
+	host.IngressBatch = v.IngressBatch
 	return v
-}
-
-// egressHook and ingressHook are the stable functions installed on the host.
-// They stay installed for the vSwitch's lifetime; Detach/Reattach flip the
-// attached flag, which costs the per-packet path one atomic load and makes
-// live detach safe against concurrent traffic (a nil-ing field swap is not).
-func (v *VSwitch) egressHook(p *packet.Packet) (out, extra *packet.Packet) {
-	if !v.attached.Load() {
-		return p, nil // detached: standard vSwitch passthrough
-	}
-	return v.EgressPath(p)
-}
-
-func (v *VSwitch) ingressHook(p *packet.Packet) (out, extra *packet.Packet) {
-	if !v.attached.Load() {
-		return p, nil
-	}
-	return v.IngressPath(p)
 }
 
 // pool returns the packet pool shared with the host (nil-safe: pool-less

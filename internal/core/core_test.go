@@ -567,7 +567,12 @@ func TestDetachRestoresPassthrough(t *testing.T) {
 	if (*srvp).Delivered == 0 {
 		t.Fatal("no data after detach")
 	}
-	if b.acdc[0].Stats().EgressSegs != 0 {
-		t.Fatal("detached vSwitch still processing")
+	// Traffic crosses both vSwitches in both directions, through the
+	// per-packet and the batch hooks; every one must pass it untouched.
+	for i, v := range b.acdc {
+		if st := v.Stats(); st.EgressSegs != 0 || st.IngressSegs != 0 || v.Table.Len() != 0 {
+			t.Fatalf("detached vSwitch %d still processing: egress=%d ingress=%d flows=%d",
+				i, st.EgressSegs, st.IngressSegs, v.Table.Len())
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"acdc/internal/metrics"
 	"acdc/internal/packet"
 	"acdc/internal/sim"
 )
@@ -10,28 +11,50 @@ import (
 // sender module after the feedback is extracted.
 const OptFACK = 254
 
-// Egress adapts EgressPath to a slice return for tests and tools; the
-// datapath itself is wired with EgressPath (no slice allocation).
-func (v *VSwitch) Egress(p *packet.Packet) []*packet.Packet {
-	return pairToSlice(v.EgressPath(p))
+// EgressPath is the vSwitch hook for packets leaving the guest stack (§4's
+// ovs_dp_process_packet on the transmit side). Attach installs it as the
+// host's per-packet egress hook.
+func (v *VSwitch) EgressPath(p *packet.Packet) (out, extra *packet.Packet) {
+	return v.process(p, v.Metrics.EgressSegs, v.Metrics.EgressBytes, (*VSwitch).egressRun, AuditEgress)
 }
 
-// Ingress adapts IngressPath to a slice return for tests and tools.
-func (v *VSwitch) Ingress(p *packet.Packet) []*packet.Packet {
-	return pairToSlice(v.IngressPath(p))
+// IngressPath is the vSwitch hook for packets arriving from the network.
+func (v *VSwitch) IngressPath(p *packet.Packet) (out, extra *packet.Packet) {
+	return v.process(p, v.Metrics.IngressSegs, v.Metrics.IngressBytes, (*VSwitch).ingressRun, AuditIngress)
 }
 
-func pairToSlice(out, extra *packet.Packet) []*packet.Packet {
-	switch {
-	case out == nil && extra == nil:
-		return nil
-	case extra == nil:
-		return []*packet.Packet{out}
-	case out == nil:
-		return []*packet.Packet{extra}
-	default:
-		return []*packet.Packet{out, extra}
+// runFunc is one direction's datapath body, egressRun or ingressRun.
+type runFunc func(v *VSwitch, p *packet.Packet, m pktMeta, hfwd, hrev *Flow, gen uint64, bd *batchDeltas) (*packet.Packet, *packet.Packet)
+
+// process is the per-packet datapath shared by both directions; the caller
+// passes its direction's segment/byte counters, run body and audit tag.
+// Detached (Detach), the packet passes through untouched — the hooks stay
+// installed for the vSwitch's lifetime and gate on the attached flag, which
+// costs one atomic load and makes live detach safe against concurrent
+// traffic (a nil-ing field swap is not). With an auditor attached the
+// traversal is bracketed by a pre-capture and a PacketEvent; a nil auditor
+// costs one branch.
+func (v *VSwitch) process(p *packet.Packet, segs, bytes *metrics.Counter, run runFunc, dir AuditDir) (out, extra *packet.Packet) {
+	if !v.attached.Load() {
+		return p, nil // detached: standard vSwitch passthrough
 	}
+	a := v.Audit
+	var pre PacketPre
+	if a != nil {
+		pre = v.CapturePre(p)
+	}
+	segs.Inc()
+	v.maybeSweep()
+	var m pktMeta
+	classify(p, v.Cfg.UDPTunnel, &m)
+	if m.class != classBadIP {
+		bytes.Add(m.iplen)
+	}
+	out, extra = run(v, p, m, nil, nil, 0, nil)
+	if a != nil {
+		a.PacketEvent(v, dir, pre, out, extra, out == p)
+	}
+	return out, extra
 }
 
 // pktClass is the fast-path disposition decided by one header parse.
@@ -47,8 +70,8 @@ const (
 )
 
 // pktMeta is the per-packet parse result shared by the per-packet and batch
-// entry points: headers are validated and the flow key extracted exactly
-// once, then egressRun/ingressRun branch on the class without re-parsing.
+// bodies: headers are validated and the flow key extracted exactly once,
+// then egressRun/ingressRun branch on the class without re-parsing.
 type pktMeta struct {
 	class         pktClass
 	syn, ack, fin bool
@@ -59,7 +82,7 @@ type pktMeta struct {
 
 // classify parses p once into m. It is side-effect free: the class-specific
 // metric increments stay in egressRun/ingressRun so the per-packet and batch
-// paths account identically.
+// bodies account identically.
 func classify(p *packet.Packet, udpTunnel bool, m *pktMeta) {
 	ip := p.IP()
 	if !ip.Valid() {
@@ -94,41 +117,15 @@ func classify(p *packet.Packet, udpTunnel bool, m *pktMeta) {
 	m.plen = int64(p.PayloadLen())
 }
 
-// EgressPath is the vSwitch hook for packets leaving the guest stack (§4's
-// ovs_dp_process_packet on the transmit side). With an auditor attached it
-// brackets the traversal with a pre-capture and a PacketEvent; a nil auditor
-// costs one branch.
-func (v *VSwitch) EgressPath(p *packet.Packet) (*packet.Packet, *packet.Packet) {
-	if v.Audit == nil {
-		return v.egressPath(p)
-	}
-	pre := v.CapturePre(p)
-	out, extra := v.egressPath(p)
-	v.Audit.PacketEvent(v, AuditEgress, pre, out, extra, out == p)
-	return out, extra
-}
-
-func (v *VSwitch) egressPath(p *packet.Packet) (*packet.Packet, *packet.Packet) {
-	v.Metrics.EgressSegs.Inc()
-	v.maybeSweep()
-	var m pktMeta
-	classify(p, v.Cfg.UDPTunnel, &m)
-	return v.egressRun(p, &m, nil, nil, 0, nil)
-}
-
-// egressRun is the egress datapath body shared by the per-packet wrapper and
-// EgressBatch. hfwd/hrev are batch-prefetched flow pointers for m.key and its
-// reverse; a non-nil hint is used only while the table generation still
-// equals gen (no deletion since the prefetch — eviction and GC both bump it),
-// and a nil hint always falls back to a live lookup (the flow may have been
-// created by an earlier packet of the same burst). With nil hints this is
-// byte-for-byte the sequential path.
-func (v *VSwitch) egressRun(p *packet.Packet, m *pktMeta, hfwd, hrev *Flow, gen uint64, bd *batchDeltas) (*packet.Packet, *packet.Packet) {
-	// Byte accounting for every class but bad-IP; in a batch (bd non-nil) the
-	// whole burst's bytes were already summed into one Add by classifyBatch.
-	if bd == nil && m.class != classBadIP {
-		v.Metrics.EgressBytes.Add(m.iplen)
-	}
+// egressRun is the egress datapath body run by process and processBatch,
+// which do the segment and byte accounting. hfwd/hrev are batch-prefetched
+// flow pointers for m.key and its reverse; a non-nil hint is used only
+// while the table generation still equals gen (no deletion since the
+// prefetch — eviction and GC both bump it), and a nil hint always falls
+// back to a live lookup (the flow may have been created by an earlier
+// packet of the same burst). With nil hints this is byte-for-byte the
+// sequential path.
+func (v *VSwitch) egressRun(p *packet.Packet, m pktMeta, hfwd, hrev *Flow, gen uint64, bd *batchDeltas) (*packet.Packet, *packet.Packet) {
 	switch m.class {
 	case classBadIP:
 		v.Metrics.FailOpen.Inc()
@@ -346,35 +343,10 @@ func getU32(b []byte) uint32 {
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }
 
-// IngressPath is the vSwitch hook for packets arriving from the network.
-// Audit bracketing mirrors EgressPath.
-func (v *VSwitch) IngressPath(p *packet.Packet) (*packet.Packet, *packet.Packet) {
-	if v.Audit == nil {
-		return v.ingressPath(p)
-	}
-	pre := v.CapturePre(p)
-	out, extra := v.ingressPath(p)
-	v.Audit.PacketEvent(v, AuditIngress, pre, out, extra, out == p)
-	return out, extra
-}
-
-func (v *VSwitch) ingressPath(p *packet.Packet) (*packet.Packet, *packet.Packet) {
-	v.Metrics.IngressSegs.Inc()
-	v.maybeSweep()
-	var m pktMeta
-	classify(p, v.Cfg.UDPTunnel, &m)
-	return v.ingressRun(p, &m, nil, nil, 0, nil)
-}
-
-// ingressRun is the ingress datapath body shared by the per-packet wrapper
-// and IngressBatch; the hint contract matches egressRun (hfwd for m.key, the
-// peer's data direction; hrev for the reverse, ours).
-func (v *VSwitch) ingressRun(p *packet.Packet, m *pktMeta, hfwd, hrev *Flow, gen uint64, bd *batchDeltas) (*packet.Packet, *packet.Packet) {
-	// Byte accounting mirrors egressRun: folded into classifyBatch's one Add
-	// when processing a burst.
-	if bd == nil && m.class != classBadIP {
-		v.Metrics.IngressBytes.Add(m.iplen)
-	}
+// ingressRun is the ingress datapath body; the hint contract matches
+// egressRun (hfwd for m.key, the peer's data direction; hrev for the
+// reverse, ours).
+func (v *VSwitch) ingressRun(p *packet.Packet, m pktMeta, hfwd, hrev *Flow, gen uint64, bd *batchDeltas) (*packet.Packet, *packet.Packet) {
 	switch m.class {
 	case classBadIP:
 		v.Metrics.FailOpen.Inc()

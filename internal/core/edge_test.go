@@ -26,6 +26,27 @@ func dataPkt(src, dst packet.Addr, sp, dp uint16, seq uint32, n int) *packet.Pac
 	}, n)
 }
 
+// egress and ingress run one packet through the datapath and collect its
+// (out, extra) pair as a slice: nil for a consumed packet, then out, then a
+// generated FACK.
+func egress(v *VSwitch, p *packet.Packet) []*packet.Packet {
+	return pairSlice(v.EgressPath(p))
+}
+
+func ingress(v *VSwitch, p *packet.Packet) []*packet.Packet {
+	return pairSlice(v.IngressPath(p))
+}
+
+func pairSlice(out, extra *packet.Packet) []*packet.Packet {
+	var ps []*packet.Packet
+	for _, q := range [2]*packet.Packet{out, extra} {
+		if q != nil {
+			ps = append(ps, q)
+		}
+	}
+	return ps
+}
+
 func ackPkt(src, dst packet.Addr, sp, dp uint16, ack uint32, wnd uint16) *packet.Packet {
 	return packet.Build(src, dst, packet.NotECT, packet.TCPFields{
 		SrcPort: sp, DstPort: dp, Seq: 1, Ack: ack,
@@ -71,7 +92,7 @@ func TestMidstreamAdoptionResync(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			v, host, _ := loneVSwitch(t, DefaultConfig())
 			peer := packet.MakeAddr(10, 0, 0, 2)
-			v.Egress(dataPkt(host.Addr, peer, 100, 200, 777_000, 1000))
+			egress(v, dataPkt(host.Addr, peer, 100, 200, 777_000, 1000))
 			f := v.Table.Get(FlowKey{Src: host.Addr, Dst: peer, SPort: 100, DPort: 200})
 			if f == nil {
 				t.Fatal("no flow created mid-stream")
@@ -85,16 +106,16 @@ func TestMidstreamAdoptionResync(t *testing.T) {
 			if got := v.Stats().FlowsAdoptedMidstream; got != 1 {
 				t.Fatalf("FlowsAdoptedMidstream = %d", got)
 			}
-			v.Egress(dataPkt(host.Addr, peer, 100, 200, 778_000, 1000))
+			egress(v, dataPkt(host.Addr, peer, 100, 200, 778_000, 1000))
 			if s := f.Snapshot(); s.SndNxt != 2000 {
 				t.Fatalf("SndNxt = %d after second segment", s.SndNxt)
 			}
 			for i, total := range tc.feedback {
 				ackAbs := uint32(778_000 + 1000) // covers both segments
 				if total == nil {
-					v.Ingress(ackPkt(peer, host.Addr, 200, 100, ackAbs, 65535))
+					ingress(v, ackPkt(peer, host.Addr, 200, 100, ackAbs, 65535))
 				} else {
-					v.Ingress(packAck(peer, host.Addr, 200, 100, ackAbs, 65535, *total, *total))
+					ingress(v, packAck(peer, host.Addr, 200, 100, ackAbs, 65535, *total, *total))
 				}
 				// The conservative invariant, checked at every step: an
 				// unsynced flow must never have its RWND rewritten.
@@ -126,10 +147,10 @@ func TestPolicingSuspendedDuringResync(t *testing.T) {
 	cfg.Police = true
 	v, host, _ := loneVSwitch(t, cfg)
 	peer := packet.MakeAddr(10, 0, 0, 2)
-	v.Egress(dataPkt(host.Addr, peer, 1, 2, 777_000, 8960))
+	egress(v, dataPkt(host.Addr, peer, 1, 2, 777_000, 8960))
 	// A burst far beyond IW+slack: would be dropped on an enforced flow
 	// (TestPolicingSlackAllowsInFlightAfterCut), must pass on a resyncing one.
-	if out := v.Egress(dataPkt(host.Addr, peer, 1, 2, 777_000+500_000, 8960)); len(out) != 1 {
+	if out := egress(v, dataPkt(host.Addr, peer, 1, 2, 777_000+500_000, 8960)); len(out) != 1 {
 		t.Fatal("resyncing flow was policed")
 	}
 	if v.Stats().PolicingDrops != 0 {
@@ -140,7 +161,7 @@ func TestPolicingSuspendedDuringResync(t *testing.T) {
 func TestIngressAckWithoutFlowCountsUntracked(t *testing.T) {
 	v, host, _ := loneVSwitch(t, DefaultConfig())
 	peer := packet.MakeAddr(10, 0, 0, 9)
-	out := v.Ingress(ackPkt(peer, host.Addr, 9, 9, 42, 100))
+	out := ingress(v, ackPkt(peer, host.Addr, 9, 9, 42, 100))
 	if len(out) != 1 {
 		t.Fatal("untracked ACK should pass through")
 	}
@@ -155,15 +176,15 @@ func TestNonTCPPacketsPassThrough(t *testing.T) {
 	p := dataPkt(packet.MakeAddr(10, 0, 0, 1), packet.MakeAddr(10, 0, 0, 2), 1, 2, 0, 10)
 	p.Buf[9] = 17
 	packet.IPv4(p.Buf).ComputeChecksum()
-	if out := v.Egress(p); len(out) != 1 || out[0] != p {
+	if out := egress(v, p); len(out) != 1 || out[0] != p {
 		t.Fatal("non-TCP egress packet not passed through")
 	}
-	if out := v.Ingress(p); len(out) != 1 {
+	if out := ingress(v, p); len(out) != 1 {
 		t.Fatal("non-TCP ingress packet not passed through")
 	}
 	// Garbage buffers must not panic.
 	junk := &packet.Packet{Buf: []byte{1, 2, 3}}
-	if out := v.Egress(junk); len(out) != 1 {
+	if out := egress(v, junk); len(out) != 1 {
 		t.Fatal("junk egress not passed through")
 	}
 }
@@ -175,7 +196,7 @@ func TestFACKFallbackWhenOptionsFull(t *testing.T) {
 	peer := packet.MakeAddr(10, 0, 0, 2)
 	// Receiver-module state with counted bytes (peer → host data direction).
 	dk := FlowKey{Src: peer, Dst: host.Addr, SPort: 200, DPort: 100}
-	v.Ingress(dataPkt(peer, host.Addr, 200, 100, 5000, 1500))
+	ingress(v, dataPkt(peer, host.Addr, 200, 100, 5000, 1500))
 	if v.Table.Get(dk) == nil {
 		t.Fatal("receiver flow not created")
 	}
@@ -188,7 +209,7 @@ func TestFACKFallbackWhenOptionsFull(t *testing.T) {
 		SrcPort: 100, DstPort: 200, Seq: 1, Ack: 6500,
 		Flags: packet.FlagACK, Window: 65535, Options: full,
 	}, 0)
-	out := v.Egress(ack)
+	out := egress(v, ack)
 	if len(out) != 2 {
 		t.Fatalf("expected real ACK + FACK, got %d packets", len(out))
 	}
@@ -208,7 +229,7 @@ func TestLazyGCSweepsIdleFlows(t *testing.T) {
 	cfg.IdleTimeout = 2 * sim.Millisecond
 	v, host, s := loneVSwitch(t, cfg)
 	peer := packet.MakeAddr(10, 0, 0, 2)
-	v.Egress(dataPkt(host.Addr, peer, 1, 2, 100, 100))
+	egress(v, dataPkt(host.Addr, peer, 1, 2, 100, 100))
 	if v.Table.Len() != 1 {
 		t.Fatalf("table len %d", v.Table.Len())
 	}
@@ -219,7 +240,7 @@ func TestLazyGCSweepsIdleFlows(t *testing.T) {
 	s.RunFor(10 * sim.Millisecond)
 	other := packet.MakeAddr(10, 0, 0, 3)
 	for i := 0; i < 5000; i++ {
-		v.Egress(dataPkt(host.Addr, other, 7, 8, uint32(1000+i*100), 100))
+		egress(v, dataPkt(host.Addr, other, 7, 8, uint32(1000+i*100), 100))
 	}
 	if v.Stats().FlowsRemoved == 0 {
 		t.Fatal("idle flow never swept")
@@ -237,14 +258,14 @@ func TestPolicingSlackAllowsInFlightAfterCut(t *testing.T) {
 		SrcPort: 1, DstPort: 2, Seq: 999, Flags: packet.FlagSYN, Window: 65535,
 		Options: packet.BuildSynOptions(8960, 7, true),
 	}, 0)
-	v.Egress(syn)
+	egress(v, syn)
 	f := v.Table.Get(FlowKey{Src: host.Addr, Dst: peer, SPort: 1, DPort: 2})
 	// Data within IW+slack passes.
-	if out := v.Egress(dataPkt(host.Addr, peer, 1, 2, 1000, 8960)); len(out) != 1 {
+	if out := egress(v, dataPkt(host.Addr, peer, 1, 2, 1000, 8960)); len(out) != 1 {
 		t.Fatal("conforming data dropped")
 	}
 	// Far beyond the window: dropped.
-	if out := v.Egress(dataPkt(host.Addr, peer, 1, 2, 1000+500_000, 8960)); out != nil {
+	if out := egress(v, dataPkt(host.Addr, peer, 1, 2, 1000+500_000, 8960)); out != nil {
 		t.Fatal("excess data not policed")
 	}
 	if v.Stats().PolicingDrops != 1 {
@@ -260,7 +281,7 @@ func TestEgressMarksEverythingECT(t *testing.T) {
 		dataPkt(host.Addr, peer, 1, 2, 100, 100),
 		ackPkt(host.Addr, peer, 1, 2, 50, 10),
 	} {
-		out := v.Egress(p)
+		out := egress(v, p)
 		if out[0].IP().ECN() != packet.ECT0 {
 			t.Fatalf("egress packet not ECT: %v", out[0].IP().ECN())
 		}
@@ -280,12 +301,12 @@ func TestIngressStripsCEForECNGuest(t *testing.T) {
 		Flags: packet.FlagSYN | packet.FlagECE | packet.FlagCWR, Window: 65535,
 		Options: packet.BuildSynOptions(8960, 7, true),
 	}, 0)
-	v.Ingress(syn)
+	ingress(v, syn)
 	ce := packet.Build(peer, host.Addr, packet.CE, packet.TCPFields{
 		SrcPort: 2, DstPort: 1, Seq: 1, Ack: 1,
 		Flags: packet.FlagACK | packet.FlagPSH, Window: 65535,
 	}, 1000)
-	out := v.Ingress(ce)
+	out := ingress(v, ce)
 	if got := out[0].IP().ECN(); got != packet.ECT0 {
 		t.Fatalf("CE toward ECN guest should become ECT(0), got %v", got)
 	}
@@ -329,8 +350,8 @@ func TestPerFlowVCCOverride(t *testing.T) {
 	}
 	v, host, _ := loneVSwitch(t, cfg)
 	peer := packet.MakeAddr(10, 0, 0, 2)
-	v.Egress(dataPkt(host.Addr, peer, 1, 443, 100, 100))
-	v.Egress(dataPkt(host.Addr, peer, 1, 80, 100, 100))
+	egress(v, dataPkt(host.Addr, peer, 1, 443, 100, 100))
+	egress(v, dataPkt(host.Addr, peer, 1, 80, 100, 100))
 	wan := v.Table.Get(FlowKey{Src: host.Addr, Dst: peer, SPort: 1, DPort: 443})
 	dc := v.Table.Get(FlowKey{Src: host.Addr, Dst: peer, SPort: 1, DPort: 80})
 	if wan.vcc.Name() != "reno" || dc.vcc.Name() != "dctcp" {
@@ -374,12 +395,12 @@ func TestDupAckSynthesisTemplate(t *testing.T) {
 		SrcPort: 1, DstPort: 2, Seq: 0, Flags: packet.FlagSYN, Window: 65535,
 		Options: packet.BuildSynOptions(8960, 7, true),
 	}, 0)
-	v.Egress(syn)
-	v.Egress(dataPkt(host.Addr, peer, 1, 2, 1, 8960))
+	egress(v, syn)
+	egress(v, dataPkt(host.Addr, peer, 1, 2, 1, 8960))
 	// Feed one real ACK so the template fields are known.
-	v.Ingress(ackPkt(peer, host.Addr, 2, 1, 1+8960, 512))
+	ingress(v, ackPkt(peer, host.Addr, 2, 1, 1+8960, 512))
 	// More unacked data, then let the inactivity timer fire.
-	v.Egress(dataPkt(host.Addr, peer, 1, 2, 1+8960, 8960))
+	egress(v, dataPkt(host.Addr, peer, 1, 2, 1+8960, 8960))
 	s.RunFor(5 * sim.Millisecond)
 
 	if v.Stats().VTimeouts == 0 {

@@ -42,7 +42,7 @@ type Policy struct {
 	// ("" = the vSwitch default).
 	VCC string
 	// Backend overrides the enforcement backend for this flow ("dctcp-cut",
-	// "pace", "adaptive-k"; "" = the vSwitch default). Unknown names are
+	// "pace"; "" = the vSwitch default). Unknown names are
 	// clamped to "" by sanitize — a backend name, unlike β, can never make
 	// enforcement unsafe, so no install path treats it as an error.
 	Backend string

@@ -42,7 +42,7 @@ func TestInstallPolicyAppliesToNewAndLiveFlows(t *testing.T) {
 	kLive := FlowKey{Src: host.Addr, Dst: peer, SPort: 11, DPort: 21}
 
 	// A flow that exists before the install must pick up the policy in place.
-	v.Egress(dataPkt(host.Addr, peer, kLive.SPort, kLive.DPort, 1, 100))
+	egress(v, dataPkt(host.Addr, peer, kLive.SPort, kLive.DPort, 1, 100))
 	if v.Table.Get(kLive) == nil {
 		t.Fatal("live flow not tracked")
 	}
@@ -60,7 +60,7 @@ func TestInstallPolicyAppliesToNewAndLiveFlows(t *testing.T) {
 		t.Fatalf("live flow policy = %+v, want %+v", f.Policy, want)
 	}
 	// A flow created after the install resolves the override at setup.
-	v.Egress(dataPkt(host.Addr, peer, kNew.SPort, kNew.DPort, 1, 100))
+	egress(v, dataPkt(host.Addr, peer, kNew.SPort, kNew.DPort, 1, 100))
 	if f := v.Table.Get(kNew); f.Policy != want {
 		t.Fatalf("new flow policy = %+v, want %+v", f.Policy, want)
 	}
@@ -73,7 +73,7 @@ func TestInstallPolicySwapsVirtualCC(t *testing.T) {
 	v, host, _ := loneVSwitch(t, DefaultConfig()) // default vcc: dctcp
 	peer := packet.MakeAddr(10, 0, 0, 2)
 	k := FlowKey{Src: host.Addr, Dst: peer, SPort: 1, DPort: 2}
-	v.Egress(dataPkt(host.Addr, peer, k.SPort, k.DPort, 1, 100))
+	egress(v, dataPkt(host.Addr, peer, k.SPort, k.DPort, 1, 100))
 	f := v.Table.Get(k)
 	if f.vcc.Name() != "dctcp" {
 		t.Fatalf("default vcc = %q", f.vcc.Name())
@@ -93,7 +93,7 @@ func TestClearPolicyRevertsToConfiguredChain(t *testing.T) {
 	v, host, _ := loneVSwitch(t, cfg)
 	peer := packet.MakeAddr(10, 0, 0, 2)
 	k := FlowKey{Src: host.Addr, Dst: peer, SPort: 1, DPort: 2}
-	v.Egress(dataPkt(host.Addr, peer, k.SPort, k.DPort, 1, 100))
+	egress(v, dataPkt(host.Addr, peer, k.SPort, k.DPort, 1, 100))
 
 	if _, err := v.InstallPolicy(k, Policy{Beta: 0.1}); err != nil {
 		t.Fatal(err)
@@ -130,9 +130,9 @@ func TestInstallPolicyConcurrentWithDatapath(t *testing.T) {
 	var tick func()
 	n := 0
 	tick = func() {
-		v.Egress(dataPkt(host.Addr, peer, k.SPort, k.DPort, seq, 100))
+		egress(v, dataPkt(host.Addr, peer, k.SPort, k.DPort, seq, 100))
 		seq += 100
-		v.Ingress(ackPkt(peer, host.Addr, k.DPort, k.SPort, seq, 65535))
+		ingress(v, ackPkt(peer, host.Addr, k.DPort, k.SPort, seq, 65535))
 		if n++; n < minPackets || !ctrlDone.Load() {
 			s.Schedule(100, tick)
 		}

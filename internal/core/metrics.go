@@ -88,11 +88,10 @@ type DatapathMetrics struct {
 
 	// Enforcement backends (backend.go). Lazy: a run on the default
 	// dctcp-cut backend keeps telemetry byte-identical to older builds.
-	BackendUnknown   *metrics.LazyCounter // backend_unknown_total: unknown backend names clamped to the default (fail-open)
-	PaceQueued       *metrics.LazyCounter // pace_queued_total: segments retained by a pace token bucket
-	PaceReleased     *metrics.LazyCounter // pace_released_total: retained segments released onto the wire
-	PaceDrops        *metrics.LazyCounter // pace_drops_total: segments dropped at the pace backlog bound
-	AdaptiveKAdjusts *metrics.LazyCounter // adaptive_k_adjusts_total: per-flow threshold K moves (either direction)
+	BackendUnknown *metrics.LazyCounter // backend_unknown_total: unknown backend names clamped to the default (fail-open)
+	PaceQueued     *metrics.LazyCounter // pace_queued_total: segments retained by a pace token bucket
+	PaceReleased   *metrics.LazyCounter // pace_released_total: retained segments released onto the wire
+	PaceDrops      *metrics.LazyCounter // pace_drops_total: segments dropped at the pace backlog bound
 
 	// Per-algorithm CWND/α distributions, sampled once per RTT at each α
 	// update. Lazily created per virtual-CC name (not hot path: flow setup).
@@ -160,7 +159,6 @@ func NewDatapathMetrics(reg *metrics.Registry) *DatapathMetrics {
 		PaceQueued:            reg.Lazy("pace_queued_total"),
 		PaceReleased:          reg.Lazy("pace_released_total"),
 		PaceDrops:             reg.Lazy("pace_drops_total"),
-		AdaptiveKAdjusts:      reg.Lazy("adaptive_k_adjusts_total"),
 
 		cwndHists:  map[string]*metrics.Histogram{},
 		alphaHists: map[string]*metrics.Histogram{},
@@ -264,7 +262,6 @@ type Stats struct {
 	BackendUnknown               int64
 	PaceQueued, PaceReleased     int64
 	PaceDrops                    int64
-	AdaptiveKAdjusts             int64
 }
 
 // Stats reads the current counter values into a Stats snapshot.
@@ -304,6 +301,5 @@ func (v *VSwitch) Stats() Stats {
 		PaceQueued:            m.PaceQueued.Value(),
 		PaceReleased:          m.PaceReleased.Value(),
 		PaceDrops:             m.PaceDrops.Value(),
-		AdaptiveKAdjusts:      m.AdaptiveKAdjusts.Value(),
 	}
 }

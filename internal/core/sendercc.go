@@ -158,10 +158,9 @@ func (v *VSwitch) processAckLocked(f *Flow, p *packet.Packet, t packet.TCP, info
 	cwndLimited := f.be.WindowLimited(v, f, enforcing, f.maxInflight)
 	f.maxInflight = f.SndNxt - f.SndUna
 
-	// The enforcement backend owns the congestion decision: dctcp-cut and
-	// pace react to any marked byte (Figure 5); adaptive-k gates the
-	// reaction behind its load-adaptive threshold K (backend.go).
-	congested := f.be.Congested(v, f, totalDelta, markedDelta)
+	// Figure 5's "ECN feedback?" branch: any CE-marked byte credited by this
+	// ACK's feedback is a congestion signal, whatever the backend.
+	congested := markedDelta > 0
 	if loss && !f.be.LossIsFabric(v, f) {
 		// Dupacks provoked by the backend's own throttling (a pacer
 		// queue-bound drop): the guest's loss recovery is the response;
@@ -191,9 +190,9 @@ func (v *VSwitch) processAckLocked(f *Flow, p *packet.Packet, t packet.TCP, info
 	overwrote := false
 	origWnd := t.Window()
 	if enforcing && f.resync == resyncNone {
-		// The backend imposes the window its own way: dctcp-cut (and
-		// adaptive-k) rewrite the RWND field; pace refreshes its token-
-		// bucket rate and leaves the ACK untouched.
+		// The backend imposes the window its own way: dctcp-cut rewrites
+		// the RWND field; pace refreshes its token-bucket rate and leaves
+		// the ACK untouched.
 		overwrote = f.be.OnAck(v, f, t, enforced, fbStale)
 	}
 	if audit != nil {

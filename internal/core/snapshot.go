@@ -101,9 +101,9 @@ type flowRecord struct {
 	VCCName    string
 
 	// Appended after VCCName (PR 10): the policy's enforcement backend and
-	// the backend's one per-flow scalar (pace: rate bit/s; adaptive-k: K
-	// bytes). Old snapshots simply lack them — the record framing makes the
-	// addition invisible to old readers and optional for new ones.
+	// the backend's one per-flow scalar (pace: rate bit/s). Old snapshots
+	// simply lack them — the record framing makes the addition invisible to
+	// old readers and optional for new ones.
 	PolBackend string
 	BeState    float64
 }
@@ -534,9 +534,10 @@ func (v *VSwitch) RestoreSnapshot(data []byte) error {
 	for i := range recs {
 		r := &recs[i]
 		if !backendKnown(r.PolBackend) {
-			// A snapshot from a newer build naming a backend this one lacks:
-			// fail open to the default mechanism, counted like every other
-			// unknown-backend clamp (sanitize blanks the name below).
+			// A snapshot naming a backend this build lacks — added by a newer
+			// build, or deleted since an older one wrote it: fail open to the
+			// default mechanism, counted like every other unknown-backend
+			// clamp (sanitize blanks the name below).
 			v.Metrics.BackendUnknown.Inc()
 		}
 		r.sanitize(&v.Cfg)

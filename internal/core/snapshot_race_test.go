@@ -34,9 +34,9 @@ func TestSnapshotConcurrentWithDatapath(t *testing.T) {
 	tick = func() {
 		i := n % flows
 		sp, dp := uint16(100+i), uint16(200+i)
-		v.Egress(dataPkt(host.Addr, peer, sp, dp, seqs[i], 100))
+		egress(v, dataPkt(host.Addr, peer, sp, dp, seqs[i], 100))
 		seqs[i] += 100
-		v.Ingress(ackPkt(peer, host.Addr, dp, sp, seqs[i], 65535))
+		ingress(v, ackPkt(peer, host.Addr, dp, sp, seqs[i], 65535))
 		if n++; n < minRounds || !ctrlDone.Load() {
 			s.Schedule(100, tick)
 		}

@@ -392,8 +392,9 @@ func (d *Daemon) SetFaultProfile(p faults.Profile) error {
 // host's flow-table shape gauges (occupancy, shard max, imbalance) are
 // refreshed first so a Prometheus scrape sees the table as of this scrape,
 // not as of the last control-plane visit. When fabric fault domains are
-// armed, the fabric's link-lifecycle and ECMP counters ride along, so one
-// scrape correlates injected outages with the datapath reaction.
+// armed, the fabric's link-lifecycle and ECMP counters ride along (taken on
+// the sim loop, and left out when it stays busy), so one scrape correlates
+// injected outages with the datapath reaction.
 func (d *Daemon) MetricsSnapshot() metrics.Snapshot {
 	snaps := make([]metrics.Snapshot, 0, len(d.net.ACDC)+1)
 	for _, v := range d.net.ACDC {
@@ -402,10 +403,31 @@ func (d *Daemon) MetricsSnapshot() metrics.Snapshot {
 			snaps = append(snaps, v.Metrics.Snapshot())
 		}
 	}
-	if d.net.HasFabric() {
-		snaps = append(snaps, d.net.FabricSnapshot())
+	if fab, ok := d.fabricSnapshot(); ok {
+		snaps = append(snaps, fab)
 	}
 	return metrics.Merge(snaps...)
+}
+
+// fabricSnapshot reads the fabric counters when fault domains are armed.
+// The netsim link and switch stats behind them are plain fields the
+// simulation goroutine writes, so the read is marshaled onto the sim loop;
+// once the daemon has stopped, the loop has exited and they are read
+// directly. ok is false without a fabric, or when the loop stayed busy
+// (ErrBusy): the caller then reports no fabric view rather than a torn one.
+// Must not be called from the sim goroutine.
+func (d *Daemon) fabricSnapshot() (snap metrics.Snapshot, ok bool) {
+	if !d.net.HasFabric() {
+		return snap, false
+	}
+	switch err := d.Exec(func() { snap = d.net.FabricSnapshot() }); {
+	case err == nil:
+		return snap, true
+	case errors.Is(err, ErrStopped):
+		<-d.done
+		return d.net.FabricSnapshot(), true
+	}
+	return snap, false
 }
 
 // FlowInfo is one tracked flow as the admin API reports it.
@@ -481,9 +503,11 @@ type Status struct {
 }
 
 // StatusNow assembles the current status. Everything it reads is
-// goroutine-safe (atomic sim clock, sharded table, atomic counters). As a
-// side effect it republishes each host's table-shape gauges, so a /status
-// poll keeps the Prometheus view fresh too.
+// goroutine-safe (atomic sim clock, sharded table, atomic counters) except
+// the fabric counters, which fabricSnapshot takes on the sim loop; when the
+// loop stays busy the fabric fields are left out. As a side effect it
+// republishes each host's table-shape gauges, so a /status poll keeps the
+// Prometheus view fresh too. Must not be called from the sim goroutine.
 func (d *Daemon) StatusNow() Status {
 	now := d.net.Sim.Now()
 	flows := 0
@@ -522,8 +546,7 @@ func (d *Daemon) StatusNow() Status {
 		PressureSweeps:         sweeps,
 		Degraded:               d.DegradedReason(),
 	}
-	if d.net.HasFabric() {
-		snap := d.net.FabricSnapshot()
+	if snap, ok := d.fabricSnapshot(); ok {
 		st.FabricLinkDowns = snap.Counter("fabric_link_downs_total")
 		st.FabricLinkUps = snap.Counter("fabric_link_ups_total")
 		st.FabricFailovers = snap.Counter("ecmp_failovers_total")

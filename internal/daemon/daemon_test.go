@@ -3,6 +3,7 @@ package daemon
 import (
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -347,7 +348,7 @@ func TestStatusAndMetricsSurfaceFabric(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseDomains: %v", err)
 	}
-	d, c := startDaemon(t, Config{Workload: true, Fabric: doms})
+	d, c := startDaemon(t, Config{Workload: true, Fabric: doms, QueueDepth: 1})
 	waitFor(t, "flap to fire", func() bool {
 		return d.StatusNow().FabricLinkDowns >= 2
 	})
@@ -367,6 +368,31 @@ func TestStatusAndMetricsSurfaceFabric(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics scrape missing %q:\n%s", want, text)
 		}
+	}
+
+	// The fabric counters are read on the sim loop. A loop that stays busy
+	// drops them from both views instead of racing the writer...
+	unblock := make(chan struct{})
+	release := sync.OnceFunc(func() { close(unblock) })
+	t.Cleanup(release) // a failing check must not leave Stop waiting on the stall
+	if err := d.enqueue(func() { <-unblock }); err != nil {
+		t.Fatalf("stall enqueue: %v", err)
+	}
+	waitFor(t, "loop to pick up the stall", func() bool { return len(d.cmds) == 0 })
+	if err := d.enqueue(func() {}); err != nil {
+		t.Fatalf("fill enqueue: %v", err)
+	}
+	if st := d.StatusNow(); st.FabricLinkDowns != 0 || st.Flows == 0 {
+		t.Fatalf("busy loop: status %+v, want datapath fields without fabric ones", st)
+	}
+	if snap := d.MetricsSnapshot(); snap.Counter("fabric_link_downs_total") != 0 {
+		t.Fatal("busy loop: metrics snapshot carries fabric counters")
+	}
+	release()
+	// ...and a stopped daemon, whose loop has exited, reads them directly.
+	d.Stop()
+	if st := d.StatusNow(); st.FabricLinkDowns < 2 {
+		t.Fatalf("stopped daemon: fabric downs %d, want ≥2", st.FabricLinkDowns)
 	}
 
 	// And the fabric-free daemon stays quiet: no fabric keys in either view.

@@ -74,11 +74,10 @@ func Catalog() []Spec {
 				{Scheme: "acdc", Metric: "fairness", Min: fp(0.9)},
 				{Scheme: "acdc", Metric: "audit_violations", Max: fp(0)},
 				// The RWND rewrite is the enforcement act only for the
-				// backends that enforce via the window; pace throttles at
+				// backend that enforces via the window; pace throttles at
 				// egress instead, so its enforcement trace is released
 				// (token-clocked) segments.
 				{Scheme: "acdc", Metric: "ctr_rwnd_rewrites_total", Min: fp(1), Backend: "dctcp-cut"},
-				{Scheme: "acdc", Metric: "ctr_rwnd_rewrites_total", Min: fp(1), Backend: "adaptive-k"},
 				{Scheme: "acdc", Metric: "ctr_pace_released_total", Min: fp(1), Backend: "pace"},
 			},
 			Smoke: &Adjust{

@@ -455,7 +455,6 @@ var headlineCounters = []string{
 	"pace_queued_total",
 	"pace_released_total",
 	"pace_drops_total",
-	"adaptive_k_adjusts_total",
 }
 
 // fabricCounters map fabric_* metric keys onto FabricSnapshot counter names.

@@ -36,13 +36,13 @@ func TestSmokeSuiteMatchesCheckedInBaselines(t *testing.T) {
 
 // TestBackendSmokeMatrix runs the catalog in smoke mode under every
 // enforcement backend. The universal gate is the packet-level auditor:
-// pace and adaptive-k change *how* the virtual window is imposed, not
+// pace changes *how* the virtual window is imposed, not
 // *whether* the datapath stays conservation- and ordering-clean, so a
 // single audit violation under any backend is a real bug, not tuning.
 // Spec invariant checks are additionally enforced for dctcp-cut (exact
 // parity with the default-backend gate); the catalog's numeric bounds are
 // calibrated for that mechanism, and pace's probe-driven rate estimator
-// needs full-length runs to converge — at full duration all three backends
+// needs full-length runs to converge — at full duration both backends
 // clear every check (`acdcsuite -backend <b> -no-baseline` exits 0), which
 // is the comparison EXPERIMENTS.md reports. Baselines are NOT diffed here:
 // headline numbers legitimately differ across mechanisms.

@@ -479,7 +479,7 @@ func injectUndeadFlow(v *core.VSwitch, s *sim.Simulator) {
 			Window: 65535,
 		}, 1000)
 		seq += 1000
-		v.Egress(p) // midstream adoption creates (and refreshes) the entry
+		v.EgressPath(p) // midstream adoption creates (and refreshes) the entry
 		s.Schedule(50*sim.Millisecond, keepalive)
 	}
 	s.Schedule(0, keepalive)

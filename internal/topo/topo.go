@@ -68,7 +68,7 @@ type Options struct {
 	// the simulation RNG so the same fabric chaos replays across workloads.
 	FabricSeed int64
 	// Backend, when non-empty, overrides the enforcement backend on every
-	// attached AC/DC module ("dctcp-cut", "pace", "adaptive-k") — the knob
+	// attached AC/DC module ("dctcp-cut", "pace") — the knob
 	// the head-to-head comparison runs turn. Empty leaves each config's own
 	// Backend field (usually "", the paper's RWND-rewrite mechanism).
 	Backend string
